@@ -6,8 +6,8 @@
 //!    The per-line rule accepts "forwards somewhere"; this pass follows the
 //!    forward and reports the concrete free path when it dead-ends.
 //! 2. **panic reachability** — `unwrap` / `expect` / `panic!`-family sites
-//!    transitively reachable from the sim kernel loop (`driver.rs`,
-//!    `parallel.rs`) are hard violations with a shortest-call-path witness;
+//!    transitively reachable from the sim kernel loop (`driver.rs`) are
+//!    hard violations with a shortest-call-path witness;
 //!    sites reachable only from repro binaries are reported as an advisory
 //!    summary (query them with `paths --to panic --from bins`).
 //! 3. **lock-order analysis** — a lock-order graph is built from nested
@@ -214,11 +214,9 @@ fn pass_clock_charge(
 
 // ─── pass 2: panic reachability ──────────────────────────────────────────
 
-/// Kernel roots: every non-test fn in the simulation drivers.
+/// Kernel roots: every non-test fn in the simulation driver.
 pub fn kernel_roots(ws: &Workspace) -> Vec<FnId> {
-    let mut r = ws.fns_in_file("sim/src/driver.rs");
-    r.extend(ws.fns_in_file("sim/src/parallel.rs"));
-    r
+    ws.fns_in_file("sim/src/driver.rs")
 }
 
 /// Binary roots: `main` of every `src/bin/*.rs`.

@@ -22,10 +22,11 @@
 //!   JSON pipeline, not just on stdout.
 //! * `nondet-parallel` — no thread-identity or host-topology APIs
 //!   (`thread::current`, `ThreadId`, `available_parallelism`, `thread_rng`,
-//!   `park_timeout`) in non-test `crates/sim` code: the parallel driver's
-//!   results must be a pure function of (seed, thread count), so nothing may
-//!   branch on which OS thread ran an op or how many cores the host has.
-//!   Structured concurrency (`thread::scope`, `Barrier`, channels) is fine.
+//!   `park_timeout`) in non-test `crates/sim` code: every simulation result
+//!   must be a pure function of the seed (same seed ⇒ same bytes, under any
+//!   driver), so nothing may branch on which OS thread ran an op or how
+//!   many cores the host has. Structured concurrency (`thread::scope`,
+//!   `Barrier`, channels) is fine.
 //! * `quorum-write` — no direct `fabric.write(…)` / `fab.write(…)` in
 //!   non-test `crates/rfile` code, nor in engine files whose path mentions
 //!   `wal` (the commit log ships to a replicated remote ring): a replicated
@@ -618,11 +619,11 @@ fn rule_bench_report(ctx: &mut Ctx) {
     }
 }
 
-/// For `nondet-parallel`: the parallel driver promises identical results
-/// for every `--threads` value, which holds only if nothing in `crates/sim`
-/// observes its own thread identity or the host's topology. Structured
-/// concurrency primitives (`thread::scope`, `Barrier`, mutexes, channels)
-/// are the intended tools and are not flagged.
+/// For `nondet-parallel`: same-seed replay holds under any driver only if
+/// nothing in `crates/sim` observes its own thread identity or the host's
+/// topology. Structured concurrency primitives (`thread::scope`,
+/// `Barrier`, mutexes, channels) are the intended tools and are not
+/// flagged.
 fn rule_nondet_parallel(ctx: &mut Ctx) {
     if ctx.krate != Some("sim") {
         return;
@@ -651,8 +652,8 @@ fn rule_nondet_parallel(ctx: &mut Ctx) {
             "nondet-parallel",
             line,
             format!(
-                "{what} in crates/sim: parallel results must not depend on thread \
-                 identity or host topology — key effects by (round, worker) instead"
+                "{what} in crates/sim: simulation results must not depend on thread \
+                 identity or host topology — derive them from the seed and worker id"
             ),
         );
     }

@@ -140,47 +140,6 @@ fn bench_closed_loop_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_defer_fold(c: &mut Criterion) {
-    // the windowed driver's deferred-effect fold: unstable sort on a dense
-    // packed (run, round, worker) u128 key + seq tie-break (DeferQueue)
-    // vs the stable tuple-key sort it replaced
-    let mut g = c.benchmark_group("defer");
-    const N: u64 = 4096;
-    let mut rng = SimRng::seeded(12);
-    let entries: Vec<(u64, u64, u32, u64)> = (0..N)
-        .map(|seq| (1u64, rng.uniform(0, 64), rng.uniform(0, 32) as u32, seq))
-        .collect();
-    g.bench_function("fold_unstable_dense_key", |b| {
-        let mut buf: Vec<(u128, u64, u64)> = Vec::with_capacity(N as usize);
-        b.iter(|| {
-            buf.clear();
-            buf.extend(entries.iter().map(|&(run, round, worker, seq)| {
-                (
-                    ((run as u128) << 64) | ((round as u128) << 32) | worker as u128,
-                    seq,
-                    seq,
-                )
-            }));
-            buf.sort_unstable_by_key(|e| (e.0, e.1));
-            buf.iter().map(|e| e.2).sum::<u64>()
-        });
-    });
-    g.bench_function("fold_stable_tuple_key", |b| {
-        let mut buf: Vec<((u64, u64), u32, u64)> = Vec::with_capacity(N as usize);
-        b.iter(|| {
-            buf.clear();
-            buf.extend(
-                entries
-                    .iter()
-                    .map(|&(run, round, worker, seq)| ((run, round), worker, seq)),
-            );
-            buf.sort_by_key(|e| (e.0, e.1));
-            buf.iter().map(|e| e.2).sum::<u64>()
-        });
-    });
-    g.finish();
-}
-
 /// 64 synthetic slotted pages of 3-column rows `(Int key, Float, Str pad)`,
 /// the layout the pushdown kernels run over on the memory server.
 fn eval_span(npages: usize) -> Vec<u8> {
@@ -620,7 +579,6 @@ criterion_group!(
     bench_sim_kernel,
     bench_arena_queue,
     bench_closed_loop_kernel,
-    bench_defer_fold,
     bench_pushdown_eval,
     bench_interned_metrics,
     bench_histogram_percentiles,

@@ -132,13 +132,11 @@ fn lifecycle(k: usize) -> RunOutcome {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_failover_recovery",
         "Failover recovery",
         "donor crash on replicated remote memory: failover + re-replication vs single-copy re-fetch",
     );
-    topt.annotate(&mut report);
 
     let replicated = lifecycle(2);
     let single = lifecycle(1);

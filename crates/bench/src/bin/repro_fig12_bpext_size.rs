@@ -7,12 +7,12 @@
 use remem::{Cluster, DbOptions, Design, PlacementPolicy};
 use remem_bench::Report;
 use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan_mode, RangeScanParams};
+use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 const ROWS: u64 = 110_000; // ~28 MiB of customer rows ("110 GB" scaled)
 const PER_DONOR: u64 = 16 << 20;
 
-fn run(ext_mb: u64, spread: bool, windowed: bool) -> (f64, f64) {
+fn run(ext_mb: u64, spread: bool) -> (f64, f64) {
     let donors = if spread {
         (ext_mb >> 4).max(1) as usize + 1
     } else {
@@ -47,7 +47,7 @@ fn run(ext_mb: u64, spread: bool, windowed: bool) -> (f64, f64) {
         .build(&cluster, &mut clock, &opts)
         .expect("build");
     let t = load_customer(&db, &mut clock, ROWS);
-    let s = run_rangescan_mode(
+    let s = run_rangescan(
         &db,
         t,
         &RangeScanParams {
@@ -56,26 +56,23 @@ fn run(ext_mb: u64, spread: bool, windowed: bool) -> (f64, f64) {
             ..Default::default()
         },
         clock.now(),
-        windowed,
     );
     (s.throughput_per_sec, s.mean_latency_us / 1000.0)
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig12_bpext_size",
         "Fig 12",
         "RangeScan vs BPExt size: one donor vs memory pooled from many",
     );
-    topt.annotate(&mut report);
     let sizes = [4u64, 8, 12, 16, 24, 32];
     let mut rows = Vec::new();
     let mut one_donor = Vec::new();
     let mut n_donor = Vec::new();
     for &mb in &sizes {
-        let (t1, l1) = run(mb, false, topt.windowed());
-        let (tn, ln) = run(mb, true, topt.windowed());
+        let (t1, l1) = run(mb, false);
+        let (tn, ln) = run(mb, true);
         rows.push(vec![
             format!("{mb}"),
             format!("{t1:.0}"),

@@ -16,13 +16,11 @@ use remem_sim::{Clock, SimDuration};
 use remem_workloads::tpch::{self, TpchParams};
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig15b_inlj_hj_crossover",
         "Fig 15b",
         "INLJ vs HJ latency vs selectivity; index on SSD vs remote memory",
     );
-    topt.annotate(&mut report);
     let params = TpchParams {
         customers: 8_000,
         orders_per_customer: 3,

@@ -39,13 +39,11 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>) {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig18_19_tpch",
         "Fig 18/19",
         "TPC-H: throughput per design x spindles; improvement histogram",
     );
-    topt.annotate(&mut report);
     let mut tput_rows = Vec::new();
     let mut tput20 = Vec::new();
     let mut per_design_latencies = std::collections::HashMap::new();

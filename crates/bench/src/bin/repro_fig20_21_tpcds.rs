@@ -37,13 +37,11 @@ fn run_design(design: Design, spindles: usize) -> (f64, Vec<f64>) {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig20_21_tpcds",
         "Fig 20/21",
         "TPC-DS: throughput per design x spindles; improvement histogram",
     );
-    topt.annotate(&mut report);
     let mut tput_rows = Vec::new();
     let mut tput4 = Vec::new();
     let mut tput20 = Vec::new();

@@ -7,11 +7,11 @@
 use remem::{Cluster, DbOptions, Design};
 use remem_bench::Report;
 use remem_sim::{Clock, SimDuration};
-use remem_workloads::rangescan::{load_customer, run_rangescan_mode, RangeScanParams};
+use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 const ROWS: u64 = 100_000; // ~26 MiB of data
 
-fn run(design: Design, pool_mb: u64, windowed: bool) -> (f64, f64) {
+fn run(design: Design, pool_mb: u64) -> (f64, f64) {
     let cluster = Cluster::builder()
         .memory_servers(2)
         .memory_per_server(96 << 20)
@@ -33,7 +33,7 @@ fn run(design: Design, pool_mb: u64, windowed: bool) -> (f64, f64) {
     let mut clock = Clock::new();
     let db = design.build(&cluster, &mut clock, &opts).expect("build");
     let t = load_customer(&db, &mut clock, ROWS);
-    let s = run_rangescan_mode(
+    let s = run_rangescan(
         &db,
         t,
         &RangeScanParams {
@@ -42,25 +42,22 @@ fn run(design: Design, pool_mb: u64, windowed: bool) -> (f64, f64) {
             ..Default::default()
         },
         clock.now(),
-        windowed,
     );
     (s.throughput_per_sec, s.mean_latency_us / 1000.0)
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig24_local_memory",
         "Fig 24",
         "varying local memory: Custom vs HDD+SSD (RangeScan read-only)",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut advantage = Vec::new();
     let mut custom_tput = Vec::new();
     for pool_mb in [2u64, 4, 8, 16, 24, 32] {
-        let (ct, cl) = run(Design::Custom, pool_mb, topt.windowed());
-        let (ht, hl) = run(Design::HddSsd, pool_mb, topt.windowed());
+        let (ct, cl) = run(Design::Custom, pool_mb);
+        let (ht, hl) = run(Design::HddSsd, pool_mb);
         rows.push(vec![
             format!("{pool_mb}"),
             format!("{ht:.0}"),

@@ -7,7 +7,7 @@
 use remem::{Cluster, DbOptions, Design};
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, Histogram, ParallelDriver, SimDuration, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
 use remem_workloads::rangescan::{load_customer, one_query};
 
 const ROWS: u64 = 12_500; // "125 million rows" scaled /10,000 to fit one donor
@@ -15,13 +15,11 @@ const WORKERS_PER_DB: usize = 40;
 const WINDOW: SimDuration = SimDuration::from_millis(300);
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig25_multi_db_rangescan",
         "Fig 25",
         "N database servers with their BPExt on one memory server",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut agg_tput = Vec::new();
     let mut mean_lat = Vec::new();
@@ -63,28 +61,13 @@ fn main() {
         let horizon = SimTime(start.as_nanos() + WINDOW.as_nanos());
         let workers = n * WORKERS_PER_DB;
         let lat = Histogram::new();
-        let ops = if topt.windowed() {
-            // engine queries → ordered mode with per-worker RNG streams
-            let mut rngs: Vec<SimRng> = (0..workers)
-                .map(|w| SimRng::for_worker(11, w as u64))
-                .collect();
-            let mut driver = ParallelDriver::new(workers, horizon).starting_at(start);
-            driver
-                .run_ordered(&lat, |w, c| {
-                    let (db, t) = &dbs[w / WORKERS_PER_DB];
-                    let startk = rngs[w].uniform(0, ROWS - 100) as i64;
-                    one_query(db, c, *t, startk, 100, false);
-                })
-                .started
-        } else {
-            let mut driver = remem_sim::ClosedLoopDriver::new(workers, horizon).starting_at(start);
-            let mut rng = SimRng::seeded(11);
-            driver.run(&lat, |w, c| {
-                let (db, t) = &dbs[w / WORKERS_PER_DB];
-                let startk = rng.uniform(0, ROWS - 100) as i64;
-                one_query(db, c, *t, startk, 100, false);
-            })
-        };
+        let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
+        let mut rng = SimRng::seeded(11);
+        let ops = driver.run(&lat, |w, c| {
+            let (db, t) = &dbs[w / WORKERS_PER_DB];
+            let startk = rng.uniform(0, ROWS - 100) as i64;
+            one_query(db, c, *t, startk, 100, false);
+        });
         let tput = ops as f64 / WINDOW.as_secs_f64();
         let lat_ms = lat.mean().as_micros_f64() / 1000.0;
         rows.push(vec![

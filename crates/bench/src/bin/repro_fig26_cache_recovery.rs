@@ -12,13 +12,11 @@ use remem_engine::Row;
 use remem_sim::Clock;
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig26_cache_recovery",
         "Fig 26",
         "semantic-cache recovery time vs trailing (dirty) update volume",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut recovery_s = Vec::new();
     let mut log_mb = Vec::new();

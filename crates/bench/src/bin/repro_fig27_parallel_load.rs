@@ -9,13 +9,11 @@ use remem_bench::Report;
 use remem_workloads::loading::{run_parallel_load, LoadingParams};
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig27_parallel_load",
         "Fig 27",
         "parallel loading: 160 (scaled) GB over 1-8 loader servers",
     );
-    topt.annotate(&mut report);
     let p = LoadingParams::default();
     let base = run_parallel_load(&p, 1).total();
     let mut rows = Vec::new();

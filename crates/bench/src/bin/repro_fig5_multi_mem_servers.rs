@@ -7,19 +7,17 @@
 use remem::{PlacementPolicy, RFileConfig};
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, ClosedLoopDriver, Histogram, ParallelDriver, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimTime};
 
 const TOTAL_REMOTE: u64 = 96 << 20;
 const WINDOW: u64 = 100_000_000; // 100 ms
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig5_multi_mem_servers",
         "Fig 5",
         "1 DB server <- N memory servers, constant total memory",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut rand_pts = Vec::new();
     let mut seq_pts = Vec::new();
@@ -48,28 +46,12 @@ fn main() {
             let lat = Histogram::new();
             let blocks = file.size() / block;
             let mut buf = vec![0u8; block as usize];
-            let ops = if topt.windowed() {
-                // remote-file ops touch the fabric, so the windowed
-                // schedule runs in ordered mode: one RNG stream per worker,
-                // identical output for every --threads value
-                let mut rngs: Vec<SimRng> = (0..threads)
-                    .map(|w| SimRng::for_worker(n as u64, w as u64))
-                    .collect();
-                let mut driver = ParallelDriver::new(threads, horizon).starting_at(start);
-                driver
-                    .run_ordered(&lat, |w, c| {
-                        let b = rngs[w].uniform(0, blocks);
-                        file.read(c, b * block, &mut buf).expect("read");
-                    })
-                    .started
-            } else {
-                let mut driver = ClosedLoopDriver::new(threads, horizon).starting_at(start);
-                let mut rng = SimRng::seeded(n as u64);
-                driver.run(&lat, |_, c| {
-                    let b = rng.uniform(0, blocks);
-                    file.read(c, b * block, &mut buf).expect("read");
-                })
-            };
+            let mut driver = ClosedLoopDriver::new(threads, horizon).starting_at(start);
+            let mut rng = SimRng::seeded(n as u64);
+            let ops = driver.run(&lat, |_, c| {
+                let b = rng.uniform(0, blocks);
+                file.read(c, b * block, &mut buf).expect("read");
+            });
             results.push((
                 ops as f64 * block as f64 / (WINDOW as f64 / 1e9) / 1e9,
                 lat.mean().as_micros_f64(),

@@ -8,7 +8,7 @@
 use remem::RFileConfig;
 use remem_bench::Report;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, Histogram, ParallelDriver, SimDuration, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
 
 const WINDOW: u64 = 100_000_000; // 100 ms
 /// Per-DB demand shaping: each worker computes for this long between reads.
@@ -16,13 +16,11 @@ const THINK: SimDuration = SimDuration::from_micros(8);
 const WORKERS_PER_DB: usize = 4;
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_fig6_multi_db_servers",
         "Fig 6",
         "N DB servers -> 1 memory server, NIC saturation",
     );
-    topt.annotate(&mut report);
     let mut rows = Vec::new();
     let mut tput = Vec::new();
     let mut p99 = Vec::new();
@@ -51,31 +49,14 @@ fn main() {
         let workers = n * WORKERS_PER_DB;
         let lat = Histogram::new();
         let mut buf = vec![0u8; 8192];
-        let ops = if topt.windowed() {
-            // fabric reads → ordered mode; per-worker RNG streams keep the
-            // output independent of the --threads value
-            let mut rngs: Vec<SimRng> = (0..workers)
-                .map(|w| SimRng::for_worker(7, w as u64))
-                .collect();
-            let mut driver = ParallelDriver::new(workers, horizon).starting_at(start);
-            driver
-                .run_ordered(&lat, |w, c| {
-                    let file = &files[w / WORKERS_PER_DB];
-                    let b = rngs[w].uniform(0, file.size() / 8192);
-                    file.read(c, b * 8192, &mut buf).expect("read");
-                    c.advance(THINK);
-                })
-                .started
-        } else {
-            let mut driver = remem_sim::ClosedLoopDriver::new(workers, horizon).starting_at(start);
-            let mut rng = SimRng::seeded(7);
-            driver.run(&lat, |w, c| {
-                let file = &files[w / WORKERS_PER_DB];
-                let b = rng.uniform(0, file.size() / 8192);
-                file.read(c, b * 8192, &mut buf).expect("read");
-                c.advance(THINK);
-            })
-        };
+        let mut driver = ClosedLoopDriver::new(workers, horizon).starting_at(start);
+        let mut rng = SimRng::seeded(7);
+        let ops = driver.run(&lat, |w, c| {
+            let file = &files[w / WORKERS_PER_DB];
+            let b = rng.uniform(0, file.size() / 8192);
+            file.read(c, b * 8192, &mut buf).expect("read");
+            c.advance(THINK);
+        });
         let gbps = ops as f64 * 8192.0 / (WINDOW as f64 / 1e9) / 1e9;
         rows.push(vec![
             n.to_string(),

@@ -17,9 +17,7 @@ use remem_engine::optimizer::DeviceProfile;
 use remem_engine::{crossover_selectivity, CpuCosts, ScanPlan};
 use remem_net::NetConfig;
 use remem_sim::{Clock, CpuPool, SimDuration};
-use remem_workloads::pushdown::{
-    build_remote_table, one_scan, run_pushdown_windowed, scan_estimate, PushdownParams, ScanMode,
-};
+use remem_workloads::pushdown::{build_remote_table, one_scan, scan_estimate, ScanMode};
 
 const PAGES: u64 = 256;
 const SCAN_PAGES: u64 = 16;
@@ -34,13 +32,11 @@ struct Arm {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_pushdown_selectivity",
         "Pushdown sweep",
         "Near-memory pushdown vs one-sided fetch: wire bytes and scan time vs selectivity",
     );
-    topt.annotate(&mut report);
 
     let registry = report.registry();
     let mut clock = Clock::new();
@@ -214,41 +210,5 @@ fn main() {
     );
     report.gauge("crossover_sel", predicted, 25.0);
 
-    // Windowed mode (`--threads N`): the closed-loop concurrent driver, an
-    // ordered schedule whose fingerprint must not move with N — this is the
-    // surface the CI `--identical` gate compares across thread counts.
-    if topt.windowed() {
-        let (summary, matched) = run_pushdown_windowed(
-            &t,
-            &PushdownParams {
-                pages: PAGES,
-                scan_pages: SCAN_PAGES,
-                workers: 8,
-                selectivity: 0.01,
-                mode: ScanMode::Planner,
-                duration: SimDuration::from_millis(100),
-                seed: 7,
-            },
-            clock.now(),
-        );
-        report.blank();
-        report.note(format!(
-            "windowed 1% planner: {} scans, {} in horizon, {} matched rows, {:.1} us mean",
-            summary.ops, summary.completed_in_horizon, matched, summary.mean_latency_us
-        ));
-        report.series(
-            "windowed_planner_1pct",
-            &[
-                ("ops", summary.ops as f64),
-                ("matched", matched as f64),
-                ("mean_us", summary.mean_latency_us),
-            ],
-        );
-        report.check_assert(
-            "windowed_progresses",
-            "the windowed driver completes scans inside the horizon",
-            summary.completed_in_horizon > 0,
-        );
-    }
     report.finish();
 }

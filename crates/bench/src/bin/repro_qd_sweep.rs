@@ -78,13 +78,11 @@ fn scalar_gbps(registry: Arc<MetricsRegistry>) -> f64 {
 }
 
 fn main() {
-    let topt = remem_bench::threads_arg();
     let mut report = Report::new(
         "repro_qd_sweep",
         "QD sweep",
         "Pipelined vectored I/O: throughput vs queue depth and batch size",
     );
-    topt.annotate(&mut report);
     let scalar = scalar_gbps(report.registry());
 
     // Sweep 1: queue depth, whole 2048-page batches per call.

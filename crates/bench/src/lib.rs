@@ -139,57 +139,6 @@ pub fn run_streams(
     (makespan, latencies)
 }
 
-/// The `--threads N` option shared by every `repro_*` binary.
-///
-/// `Some(n)` switches the figure to the *windowed conservative schedule*
-/// (`remem_sim::parallel`): results are byte-identical for every `N` — the
-/// thread count only sizes the parallel-mode pool where a figure uses it —
-/// but differ from the default sequential schedule, so windowed baselines
-/// must be compared against windowed baselines (the CI gate compares
-/// `--threads 1` vs `--threads 2`). `None` (no flag) keeps the legacy
-/// sequential schedule and the existing baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadsOpt {
-    pub threads: Option<usize>,
-}
-
-impl ThreadsOpt {
-    /// Did `--threads` ask for the windowed schedule?
-    pub fn windowed(&self) -> bool {
-        self.threads.is_some()
-    }
-
-    /// Pool size for figures that run parallel-mode drivers directly.
-    pub fn pool(&self) -> usize {
-        self.threads.unwrap_or(1)
-    }
-
-    /// Record the mode in the report. The thread count is *volatile* (it
-    /// must never move the fingerprint — equal results across `--threads`
-    /// values is the whole contract), the schedule switch is semantic.
-    pub fn annotate(&self, r: &mut Report) {
-        if let Some(n) = self.threads {
-            r.note("schedule: windowed conservative (--threads)");
-            r.volatile_note(format!("threads = {n} (results identical for any value)"));
-        }
-    }
-}
-
-/// Parse `--threads N` from the process arguments. Panics on a malformed
-/// value so a typo can't silently fall back to the sequential schedule.
-pub fn threads_arg() -> ThreadsOpt {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = args.iter().position(|a| a == "--threads").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("--threads needs a value"))
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| panic!("--threads needs a positive integer"))
-    });
-    ThreadsOpt { threads }
-}
-
 /// Print the standard experiment header (scale note included, since all
 /// data sizes are the paper's divided by 1000).
 pub fn header(figure: &str, what: &str) {

@@ -35,11 +35,10 @@ const PINNED: &[(&str, &str)] = &[
     ("repro_fig6_multi_db_servers", "fnv1a:84b33e9a1096fd0a"),
     ("repro_fig7_8_rangescan_updates", "fnv1a:f9f904d8b60655c3"),
     ("repro_fig9_10_rangescan_readonly", "fnv1a:461e1bb06af3191e"),
-    ("repro_parallel_speedup", "fnv1a:d96e293442f2dbb3"),
     ("repro_pushdown_selectivity", "fnv1a:ef1301068cd0fdbe"),
     ("repro_qd_sweep", "fnv1a:ad4365cd0de325aa"),
     ("repro_remote_wal", "fnv1a:8b2561d8572e93e6"),
-    ("repro_sim_throughput", "fnv1a:2bd72311adc612dc"),
+    ("repro_sim_throughput", "fnv1a:1bc2b308a8d77d60"),
     ("repro_table1_ablations", "fnv1a:cbdaa88e2443124e"),
 ];
 

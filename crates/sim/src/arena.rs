@@ -16,7 +16,7 @@ use crate::time::SimTime;
 
 /// One schedulable event: the time a worker becomes runnable, and its id.
 /// Ordered lexicographically — `(time, worker)` — matching the pinned
-/// tie-break contract shared by `ClosedLoopDriver` and `ParallelDriver`.
+/// tie-break contract of `ClosedLoopDriver`.
 pub type Event = (u64, u32);
 
 /// A flat binary min-heap of `(time_ns, worker_id)` events.

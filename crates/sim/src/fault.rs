@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use crate::parallel::{self, DeferQueue};
 use crate::time::SimTime;
 
 /// Which side of the chaos loop produced an event.
@@ -54,11 +53,6 @@ pub struct FaultEvent {
 /// Keeps the first [`FaultLog::capacity`] events verbatim plus an unbounded
 /// per-kind count, so hot windows (thousands of flaky verbs) stay cheap
 /// while the determinism fingerprint still covers everything.
-///
-/// The event order (and hence [`FaultLog::fingerprint`]) is
-/// order-sensitive, so events recorded inside a parallel round are buffered
-/// per `(round, worker)` and folded into the journal in canonical worker
-/// order before any read — identical across thread counts.
 #[derive(Debug)]
 pub struct FaultLog {
     state: Mutex<LogState>,
@@ -69,7 +63,6 @@ pub struct FaultLog {
 struct LogState {
     events: Vec<FaultEvent>,
     counts: BTreeMap<(&'static str, FaultOrigin), u64>,
-    pending: DeferQueue<FaultEvent>,
 }
 
 impl LogState {
@@ -78,20 +71,6 @@ impl LogState {
         if self.events.len() < capacity {
             self.events.push(e);
         }
-    }
-
-    fn fold(&mut self, capacity: usize) {
-        let LogState {
-            events,
-            counts,
-            pending,
-        } = self;
-        pending.fold_ready(None, |e| {
-            *counts.entry((e.kind, e.origin)).or_insert(0) += 1;
-            if events.len() < capacity {
-                events.push(e);
-            }
-        });
     }
 }
 
@@ -130,27 +109,17 @@ impl FaultLog {
             kind,
             detail: detail.into(),
         };
-        let mut s = self.state.lock();
-        match parallel::current() {
-            Some(c) => s.pending.push(c.key, c.worker, event),
-            None => {
-                s.fold(self.capacity);
-                s.apply(self.capacity, event);
-            }
-        }
+        self.state.lock().apply(self.capacity, event);
     }
 
     /// Snapshot of the retained events, in record order.
     pub fn events(&self) -> Vec<FaultEvent> {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
-        s.events.clone()
+        self.state.lock().events.clone()
     }
 
     /// Total events of `kind` with `origin`, including any past the cap.
     pub fn count(&self, kind: &'static str, origin: FaultOrigin) -> u64 {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
+        let s = self.state.lock();
         s.counts.get(&(kind, origin)).copied().unwrap_or(0)
     }
 
@@ -159,8 +128,7 @@ impl FaultLog {
     /// `wal.failover` is Recovery during an append but Observed during
     /// replay).
     pub fn count_kind(&self, kind: &str) -> u64 {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
+        let s = self.state.lock();
         s.counts
             .iter()
             .filter(|((k, _), _)| *k == kind)
@@ -170,8 +138,7 @@ impl FaultLog {
 
     /// Total events recorded with `origin`, across all kinds.
     pub fn count_origin(&self, origin: FaultOrigin) -> u64 {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
+        let s = self.state.lock();
         s.counts
             .iter()
             .filter(|((_, o), _)| *o == origin)
@@ -182,8 +149,7 @@ impl FaultLog {
     /// FNV-1a over every retained event plus every count — equal across two
     /// runs iff the runs produced the same faults in the same virtual order.
     pub fn fingerprint(&self) -> u64 {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
+        let s = self.state.lock();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -207,8 +173,7 @@ impl FaultLog {
 
     /// Human-readable per-kind totals, one line per `(kind, origin)`.
     pub fn summary(&self) -> String {
-        let mut s = self.state.lock();
-        s.fold(self.capacity);
+        let s = self.state.lock();
         let mut out = String::new();
         for ((kind, origin), n) in s.counts.iter() {
             out.push_str(&format!("{:<8} {:<24} {n}\n", origin.label(), kind));

@@ -19,21 +19,19 @@
 //!   benchmark harness to print the paper's figures.
 //! * [`driver`] — a deterministic closed-loop multi-worker driver that always
 //!   advances the worker with the smallest clock, so concurrent workloads are
-//!   reproducible down to the nanosecond.
-//! * [`parallel`] — a windowed conservative driver that executes the same
-//!   closed-loop experiments on several OS threads while staying
-//!   byte-identical across thread counts (and, in ordered mode, runs any
-//!   workload under the windowed schedule without concurrency).
+//!   reproducible down to the nanosecond. It is the only scheduler: one
+//!   seed fixes one interleaving, so every report replays byte for byte.
+//! * [`Stopwatch`] — host wall-clock timing, for volatile notes only.
 
 pub mod arena;
 pub mod clock;
 pub mod driver;
 pub mod fault;
 pub mod metrics;
-pub mod parallel;
 pub mod registry;
 pub mod resource;
 pub mod rng;
+mod stopwatch;
 pub mod time;
 
 pub use arena::EventQueue;
@@ -41,9 +39,9 @@ pub use clock::Clock;
 pub use driver::{ClosedLoopDriver, RunOutcome};
 pub use fault::{FaultEvent, FaultLog, FaultOrigin};
 pub use metrics::{Counter, Histogram, TimeSeries};
-pub use parallel::{ParallelDriver, Stopwatch};
 pub use registry::{
     intern_name, Gauge, MetricsRegistry, MetricsSnapshot, SpanId, SpanStats, SpanToken,
 };
 pub use resource::{CpuPool, FifoResource, LinkResource, PoolResource};
+pub use stopwatch::Stopwatch;
 pub use time::{SimDuration, SimTime};

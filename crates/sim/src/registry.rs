@@ -29,18 +29,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::metrics::{Counter, Histogram, TimeSeries};
-use crate::parallel::{self, DeferQueue};
 use crate::time::{SimDuration, SimTime};
 
-/// A settable scalar metric (stored as `f64` bits).
-///
-/// `set` is last-writer-wins, which is order-sensitive — parallel-round
-/// writes are buffered per `(round, worker)` and replayed canonically, so
-/// the surviving value never depends on thread interleaving.
+/// A settable scalar metric (stored as `f64` bits); `set` is
+/// last-writer-wins.
 #[derive(Debug, Default)]
 pub struct Gauge {
     bits: AtomicU64,
-    pending: Mutex<DeferQueue<u64>>,
 }
 
 impl Gauge {
@@ -48,24 +43,11 @@ impl Gauge {
         Gauge::default()
     }
 
-    fn fold(&self) {
-        self.pending.lock().fold_ready(None, |bits| {
-            self.bits.store(bits, Ordering::Relaxed);
-        });
-    }
-
     pub fn set(&self, v: f64) {
-        match parallel::current() {
-            Some(c) => self.pending.lock().push(c.key, c.worker, v.to_bits()),
-            None => {
-                self.fold();
-                self.bits.store(v.to_bits(), Ordering::Relaxed);
-            }
-        }
+        self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     pub fn get(&self) -> f64 {
-        self.fold();
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -118,23 +100,12 @@ struct OpenSpan {
     child_time: SimDuration,
 }
 
-/// A deferred span event from a parallel round. Replayed per worker in
-/// canonical order; each worker's operation must open and close its spans
-/// in balanced LIFO pairs, so replaying a round worker-by-worker feeds the
-/// shared stack exactly as a sequential run would.
-#[derive(Debug, Clone, Copy)]
-enum SpanOp {
-    Enter(SpanId, SimTime),
-    Exit(SimTime),
-}
-
 #[derive(Default)]
 struct SpanState {
     ids: BTreeMap<&'static str, SpanId>,
     names: Vec<&'static str>,
     stats: Vec<SpanStats>,
     stack: Vec<OpenSpan>,
-    pending: DeferQueue<SpanOp>,
 }
 
 impl SpanState {
@@ -157,20 +128,6 @@ impl SpanState {
         st.count += 1;
         st.total += total;
         st.self_time += self_time;
-    }
-
-    fn fold(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // open/close need `&mut self` while pending is drained, so swap the
-        // buffer out for the duration and put it back to keep its capacity.
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.fold_ready(None, |op| match op {
-            SpanOp::Enter(id, at) => self.open(id, at),
-            SpanOp::Exit(at) => self.close(at),
-        });
-        self.pending = pending;
     }
 }
 
@@ -302,15 +259,6 @@ impl MetricsRegistry {
     /// compares a string.
     pub fn span_enter_id(&self, id: SpanId, at: SimTime) -> SpanToken {
         let mut s = self.spans.lock();
-        if let Some(c) = parallel::current() {
-            // Defer the stack mutation; the token's LIFO check runs against
-            // the worker-local depth counter instead of the shared stack.
-            s.pending.push(c.key, c.worker, SpanOp::Enter(id, at));
-            return SpanToken {
-                depth: parallel::span_depth_push(),
-            };
-        }
-        s.fold();
         s.open(id, at);
         SpanToken {
             depth: s.stack.len() - 1,
@@ -321,12 +269,6 @@ impl MetricsRegistry {
     /// from, charging `at - enter_time` to its stats.
     pub fn span_exit(&self, token: SpanToken, at: SimTime) {
         let mut s = self.spans.lock();
-        if let Some(c) = parallel::current() {
-            parallel::span_depth_pop(token.depth);
-            s.pending.push(c.key, c.worker, SpanOp::Exit(at));
-            return;
-        }
-        s.fold();
         assert_eq!(
             s.stack.len(),
             token.depth + 1,
@@ -337,8 +279,7 @@ impl MetricsRegistry {
 
     /// Per-name span statistics accumulated so far.
     pub fn span_stats(&self, name: &str) -> SpanStats {
-        let mut s = self.spans.lock();
-        s.fold();
+        let s = self.spans.lock();
         match s.ids.get(name) {
             Some(&id) => s.stats[id.0 as usize],
             None => SpanStats::default(),
@@ -394,8 +335,7 @@ impl MetricsRegistry {
             })
             .collect();
         let spans = {
-            let mut s = self.spans.lock();
-            s.fold();
+            let s = self.spans.lock();
             // Only spans that have closed at least once appear, matching the
             // registry's historical "stats exist after first exit" contract.
             let mut pairs: Vec<(String, SpanSummary)> = s

@@ -8,21 +8,14 @@
 //! the workers' clocks and the queueing delay `free - t` grows — which is the
 //! saturation behaviour measured in the paper (Figs. 5, 6, 25).
 //!
-//! All resources are internally synchronized so real OS threads may share
-//! them. The deterministic harnesses drive them two ways: the sequential
-//! [`crate::driver`] calls from one thread in min-clock order, and the
-//! windowed [`crate::parallel`] driver calls concurrently within a round.
-//! In the latter case grants are computed from a **frozen** round-start
-//! state plus the calling worker's own same-round requests, with every
-//! request buffered per `(round, worker)` and folded in canonical
-//! `(time, worker-id)`-stable order before the next window (or any
-//! sequential access) reads the resource — so results never depend on how
-//! OS threads interleave.
+//! All resources are internally synchronized so they can be shared behind
+//! an `Arc`. The deterministic harness ([`crate::driver`]) calls them from
+//! one thread in min-clock order, so every grant is a pure function of the
+//! request sequence.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::parallel::{self, DeferQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Result of acquiring a resource: when service started and when it completed.
@@ -57,23 +50,9 @@ impl Grant {
 /// Figs. 5/6/25.
 #[derive(Debug)]
 pub struct FifoResource {
-    state: Mutex<FifoState>,
+    fluid: Mutex<Fluid>,
     /// Total service time ever reserved (for true utilization accounting).
     total_service: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct FifoState {
-    fluid: Fluid,
-    /// Parallel-round requests not yet folded into `fluid`.
-    pending: DeferQueue<Req>,
-}
-
-/// One buffered `acquire`, in raw nanoseconds.
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    now: u64,
-    service: u64,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -85,12 +64,17 @@ struct Fluid {
 }
 
 impl Fluid {
-    fn grant(&mut self, now: SimTime, service: SimDuration) -> Grant {
+    /// Drain the backlog up to `now` (a no-op for out-of-order arrivals).
+    fn drain_to(&mut self, now: SimTime) {
         if now.0 > self.watermark {
             let drained = now.0 - self.watermark;
             self.backlog = self.backlog.saturating_sub(drained);
             self.watermark = now.0;
         }
+    }
+
+    fn grant(&mut self, now: SimTime, service: SimDuration) -> Grant {
+        self.drain_to(now);
         // A request is delayed by the current backlog from its own clock.
         // Callers arrive in near-nondecreasing time order under the
         // min-clock driver; the residual out-of-order skew makes this a
@@ -104,10 +88,6 @@ impl Fluid {
         }
     }
 
-    fn apply(&mut self, r: Req) {
-        let _ = self.grant(SimTime(r.now), SimDuration(r.service));
-    }
-
     fn free_at(&self) -> SimTime {
         SimTime(self.watermark + self.backlog)
     }
@@ -116,64 +96,20 @@ impl Fluid {
 impl FifoResource {
     pub fn new() -> FifoResource {
         FifoResource {
-            state: Mutex::new(FifoState::default()),
+            fluid: Mutex::new(Fluid::default()),
             total_service: AtomicU64::new(0),
         }
-    }
-
-    /// The fluid state with all foldable buffered requests applied: every
-    /// pending request when called sequentially, only *prior-window*
-    /// requests when called from inside a parallel round (same-round
-    /// requests from other workers must stay invisible).
-    fn folded(s: &mut FifoState, ctx: Option<parallel::Ctx>) -> Fluid {
-        let FifoState { fluid, pending } = s;
-        pending.fold_ready(ctx.map(|c| c.key), |r| fluid.apply(r));
-        *fluid
     }
 
     /// Queue `service` of work behind the current backlog.
     pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
         self.total_service.fetch_add(service.0, Ordering::Relaxed);
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        match ctx {
-            None => {
-                let _ = Self::folded(&mut s, None);
-                s.fluid.grant(now, service)
-            }
-            Some(c) => {
-                // Frozen-round semantics: base state + own history only.
-                let mut frozen = Self::folded(&mut s, Some(c));
-                for &r in s.pending.own(c.key, c.worker) {
-                    frozen.apply(r);
-                }
-                let g = frozen.grant(now, service);
-                s.pending.push(
-                    c.key,
-                    c.worker,
-                    Req {
-                        now: now.0,
-                        service: service.0,
-                    },
-                );
-                g
-            }
-        }
+        self.fluid.lock().grant(now, service)
     }
 
-    /// When the current backlog would drain (diagnostic). Inside a parallel
-    /// round this reports the frozen view: base state plus the calling
-    /// worker's own requests.
+    /// When the current backlog would drain (diagnostic).
     pub fn free_at(&self) -> SimTime {
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        let mut f = Self::folded(&mut s, ctx);
-        if let Some(c) = ctx {
-            for &r in s.pending.own(c.key, c.worker) {
-                f.apply(r);
-            }
-        }
-        f.free_at()
+        self.fluid.lock().free_at()
     }
 
     /// True utilization over `[0, horizon]`: reserved service time divided
@@ -197,120 +133,44 @@ impl Default for FifoResource {
 /// goes to the least-backlogged server, or to a pinned one (`acquire_on`).
 #[derive(Debug)]
 pub struct PoolResource {
-    state: Mutex<PoolState>,
+    servers: Mutex<Vec<Fluid>>,
     total_service: AtomicU64,
-}
-
-#[derive(Debug)]
-struct PoolState {
-    servers: Vec<Fluid>,
-    /// Parallel-round requests not yet folded into `servers`.
-    pending: DeferQueue<PoolReq>,
-}
-
-/// One buffered pool request: `pin` is `Some(server)` for `acquire_on`.
-#[derive(Debug, Clone, Copy)]
-struct PoolReq {
-    now: u64,
-    service: u64,
-    pin: Option<u32>,
-}
-
-impl PoolState {
-    /// Replays exactly what the sequential `acquire`/`acquire_on` do.
-    fn grant(servers: &mut [Fluid], r: PoolReq) -> Grant {
-        let now = SimTime(r.now);
-        let service = SimDuration(r.service);
-        match r.pin {
-            Some(i) => servers[i as usize].grant(now, service),
-            None => {
-                // drain everyone to `now` first so backlogs are comparable
-                for f in servers.iter_mut() {
-                    if now.0 > f.watermark {
-                        let drained = now.0 - f.watermark;
-                        f.backlog = f.backlog.saturating_sub(drained);
-                        f.watermark = now.0;
-                    }
-                }
-                let idx = servers
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, f)| f.backlog)
-                    .map(|(i, _)| i)
-                    .expect("pool is non-empty");
-                servers[idx].grant(now, service)
-            }
-        }
-    }
-
-    /// Fold buffered requests in canonical order; see `FifoResource::folded`.
-    fn fold(&mut self, ctx: Option<parallel::Ctx>) {
-        let PoolState { servers, pending } = self;
-        pending.fold_ready(ctx.map(|c| c.key), |r| {
-            let _ = Self::grant(servers, r);
-        });
-    }
-
-    fn round_grant(&mut self, c: parallel::Ctx, r: PoolReq) -> Grant {
-        self.fold(Some(c));
-        let mut frozen = self.servers.clone();
-        for &pr in self.pending.own(c.key, c.worker) {
-            let _ = Self::grant(&mut frozen, pr);
-        }
-        let g = Self::grant(&mut frozen, r);
-        self.pending.push(c.key, c.worker, r);
-        g
-    }
 }
 
 impl PoolResource {
     pub fn new(k: usize) -> PoolResource {
         assert!(k > 0, "pool must have at least one server");
         PoolResource {
-            state: Mutex::new(PoolState {
-                servers: (0..k).map(|_| Fluid::default()).collect(),
-                pending: DeferQueue::default(),
-            }),
+            servers: Mutex::new(vec![Fluid::default(); k]),
             total_service: AtomicU64::new(0),
         }
     }
 
     pub fn servers(&self) -> usize {
-        self.state.lock().servers.len()
-    }
-
-    fn request(&self, r: PoolReq) -> Grant {
-        self.total_service.fetch_add(r.service, Ordering::Relaxed);
-        let ctx = parallel::current();
-        let mut s = self.state.lock();
-        match ctx {
-            None => {
-                s.fold(None);
-                let PoolState {
-                    ref mut servers, ..
-                } = *s;
-                PoolState::grant(servers, r)
-            }
-            Some(c) => s.round_grant(c, r),
-        }
+        self.servers.lock().len()
     }
 
     /// Queue `service` on the least-backlogged server.
     pub fn acquire(&self, now: SimTime, service: SimDuration) -> Grant {
-        self.request(PoolReq {
-            now: now.0,
-            service: service.0,
-            pin: None,
-        })
+        self.total_service.fetch_add(service.0, Ordering::Relaxed);
+        let mut servers = self.servers.lock();
+        // drain everyone to `now` first so backlogs are comparable
+        for f in servers.iter_mut() {
+            f.drain_to(now);
+        }
+        let idx = servers
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, f)| f.backlog)
+            .map(|(i, _)| i)
+            .expect("pool is non-empty");
+        servers[idx].grant(now, service)
     }
 
     /// Queue on a *specific* server (e.g. a page that lives on one spindle).
     pub fn acquire_on(&self, server: usize, now: SimTime, service: SimDuration) -> Grant {
-        self.request(PoolReq {
-            now: now.0,
-            service: service.0,
-            pin: Some(server as u32),
-        })
+        self.total_service.fetch_add(service.0, Ordering::Relaxed);
+        self.servers.lock()[server].grant(now, service)
     }
 
     /// True utilization across servers over `[0, horizon]`.
@@ -318,7 +178,7 @@ impl PoolResource {
         if horizon.0 == 0 {
             return 0.0;
         }
-        let k = self.state.lock().servers.len();
+        let k = self.servers.lock().len();
         (self.total_service.load(Ordering::Relaxed) as f64 / (horizon.0 as f64 * k as f64)).min(1.0)
     }
 }

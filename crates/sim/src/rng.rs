@@ -33,9 +33,9 @@ impl SimRng {
 
     /// An independent per-worker stream derived from a shared run seed.
     ///
-    /// The parallel driver gives every logical worker its own stream (the
-    /// sequential driver's shared-RNG idiom couples draw order to the
-    /// schedule, which no concurrent execution can reproduce). Mixing the
+    /// Gives every logical worker its own stream, so a worker's draws do
+    /// not depend on how the schedule interleaves it with the others (the
+    /// shared-RNG idiom couples draw order to the schedule). Mixing the
     /// worker id through SplitMix64 before seeding keeps streams with
     /// nearby ids statistically unrelated.
     pub fn for_worker(seed: u64, worker: u64) -> SimRng {

@@ -9,7 +9,7 @@ use remem_engine::row::ColType;
 use remem_engine::{Database, Row, Schema, TableId, Value};
 use remem_sim::metrics::RunSummary;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, ClosedLoopDriver, Histogram, ParallelDriver, SimDuration, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimDuration, SimTime};
 
 /// Key distribution for `@start`.
 #[derive(Debug, Clone, Copy)]
@@ -141,62 +141,6 @@ pub fn run_rangescan(
     RunSummary::from_histogram("RangeScan", &latencies, SimTime(p.duration.as_nanos()))
 }
 
-/// Dispatch between the legacy sequential schedule and the windowed one
-/// ([`run_rangescan`] / [`run_rangescan_windowed`]) — the shape every
-/// `repro_*` binary's `--threads` branch takes.
-pub fn run_rangescan_mode(
-    db: &Database,
-    table: TableId,
-    p: &RangeScanParams,
-    start: SimTime,
-    windowed: bool,
-) -> RunSummary {
-    if windowed {
-        run_rangescan_windowed(db, table, p, start)
-    } else {
-        run_rangescan(db, table, p, start)
-    }
-}
-
-/// The windowed-schedule variant behind `--threads`: the conservative
-/// rounds of [`ParallelDriver`] executed in ordered mode, with one RNG
-/// stream per worker so results do not depend on the interleaving at all.
-/// Byte-identical output for every `--threads` value by construction
-/// (engine operations cannot run under true concurrency — see
-/// `remem_sim::parallel`). Numbers differ from [`run_rangescan`] because
-/// the schedule and RNG stream assignment differ; compare windowed runs
-/// only against windowed runs.
-pub fn run_rangescan_windowed(
-    db: &Database,
-    table: TableId,
-    p: &RangeScanParams,
-    start: SimTime,
-) -> RunSummary {
-    let total_rows = db.row_count(table);
-    assert!(total_rows > p.range, "table smaller than one range");
-    let mut rngs: Vec<SimRng> = (0..p.workers)
-        .map(|w| SimRng::for_worker(p.seed, w as u64))
-        .collect();
-    let latencies = Histogram::new();
-    let mut driver = ParallelDriver::new(p.workers, start + p.duration).starting_at(start);
-    let max_start = total_rows - p.range;
-    let out = driver.run_ordered(&latencies, |w, clock| {
-        let rng = &mut rngs[w];
-        let key = match p.distribution {
-            KeyDistribution::Uniform => rng.uniform(0, max_start),
-            KeyDistribution::Hotspot { frac, prob } => rng.hotspot(max_start, frac, prob),
-        } as i64;
-        let update = p.update_fraction > 0.0 && rng.chance(p.update_fraction);
-        one_query(db, clock, table, key, p.range, update);
-    });
-    RunSummary::from_outcome(
-        "RangeScan",
-        &latencies,
-        SimTime(p.duration.as_nanos()),
-        &out,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_variant_is_deterministic() {
+    fn same_seed_replays_identically() {
         let run = || {
             let db = small_db(16 << 20);
             let mut clock = Clock::new();
@@ -273,15 +217,19 @@ mod tests {
             let p = RangeScanParams {
                 workers: 8,
                 duration: SimDuration::from_millis(50),
+                update_fraction: 0.1,
                 ..Default::default()
             };
-            let s = run_rangescan_windowed(&db, t, &p, clock.now());
-            (s.ops, s.completed_in_horizon, s.mean_latency_us)
+            let s = run_rangescan(&db, t, &p, clock.now());
+            (
+                s.ops,
+                s.mean_latency_us.to_bits(),
+                s.p99_latency_us.to_bits(),
+            )
         };
         let a = run();
         assert_eq!(a, run());
         assert!(a.0 > 50, "{a:?}");
-        assert!(a.1 <= a.0, "completed cannot exceed started");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use remem_engine::row::ColType;
 use remem_engine::{Database, Row, Schema, TableId, Value};
 use remem_sim::metrics::RunSummary;
 use remem_sim::rng::SimRng;
-use remem_sim::{Clock, ClosedLoopDriver, Histogram, ParallelDriver, SimTime};
+use remem_sim::{Clock, ClosedLoopDriver, Histogram, SimTime};
 use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Scaled sizing (paper: 800 warehouses / 168 GB).
@@ -522,50 +522,6 @@ pub fn run_mix(
     RunSummary::from_histogram("TPC-C", &latencies, SimTime(duration.as_nanos()))
 }
 
-/// Dispatch between the sequential and windowed schedules (`--threads`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_mix_mode(
-    db: &Database,
-    t: &Tpcc,
-    mix: &Mix,
-    workers: usize,
-    start: SimTime,
-    duration: remem_sim::SimDuration,
-    seed: u64,
-    windowed: bool,
-) -> RunSummary {
-    if windowed {
-        run_mix_windowed(db, t, mix, workers, start, duration, seed)
-    } else {
-        run_mix(db, t, mix, workers, start, duration, seed)
-    }
-}
-
-/// The windowed-schedule variant behind `--threads`: the same transaction
-/// mix driven by [`ParallelDriver`] in ordered mode with one RNG stream
-/// per worker, so output is byte-identical for every `--threads` value.
-/// Numbers differ from [`run_mix`] (different schedule and RNG
-/// assignment); compare windowed runs only against windowed runs.
-pub fn run_mix_windowed(
-    db: &Database,
-    t: &Tpcc,
-    mix: &Mix,
-    workers: usize,
-    start: SimTime,
-    duration: remem_sim::SimDuration,
-    seed: u64,
-) -> RunSummary {
-    let mut rngs: Vec<SimRng> = (0..workers)
-        .map(|w| SimRng::for_worker(seed, w as u64))
-        .collect();
-    let latencies = Histogram::new();
-    let mut driver = ParallelDriver::new(workers, start + duration).starting_at(start);
-    let out = driver.run_ordered(&latencies, |w, clock| {
-        one_tx(db, clock, t, mix, &mut rngs[w])
-    });
-    RunSummary::from_outcome("TPC-C", &latencies, SimTime(duration.as_nanos()), &out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,12 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_mix_is_deterministic() {
+    fn same_seed_mix_replays_identically() {
         let run = || {
             let db = db();
             let mut clock = Clock::new();
             let t = load(&db, &mut clock, &tiny());
-            let s = run_mix_windowed(
+            let s = run_mix(
                 &db,
                 &t,
                 &Mix::default_mix(),
@@ -672,7 +628,11 @@ mod tests {
                 remem_sim::SimDuration::from_millis(50),
                 3,
             );
-            (s.ops, s.completed_in_horizon, s.mean_latency_us)
+            (
+                s.ops,
+                s.mean_latency_us.to_bits(),
+                s.p99_latency_us.to_bits(),
+            )
         };
         let a = run();
         assert_eq!(a, run());

@@ -1,8 +1,7 @@
 //! Property-based tests for near-memory pushdown: whatever the page
 //! contents, predicates and projections, the offloaded result is
 //! byte-identical to fetching every page and filtering client-side — with
-//! and without transient fault windows — and the windowed workload driver
-//! fingerprints identically for every `--threads` value.
+//! and without transient fault windows.
 
 use std::sync::Arc;
 
@@ -14,9 +13,7 @@ use remem_sim::{Clock, SimDuration, SimTime};
 use remem_storage::{
     eval_pages, Aggregate, CmpOp, EvalValue, PartialAgg, Predicate, PushdownProgram,
 };
-use remem_workloads::pushdown::{
-    build_remote_table, run_pushdown_windowed, PushdownParams, RemoteTable, ScanMode,
-};
+use remem_workloads::pushdown::{build_remote_table, RemoteTable};
 
 /// Random typed value for column `col` (types fixed per column so
 /// comparisons are mostly well-typed, with col 3 mixing types).
@@ -187,37 +184,5 @@ proptest! {
             .unwrap();
         t.fabric.set_fault_injector(None);
         assert_payload_matches(&prog, &scan.payload, &want)?;
-    }
-}
-
-/// Cross-thread determinism: the windowed sweep driver produces identical
-/// fingerprints at `--threads` 1, 2 and 8 (ordered mode executes the same
-/// canonical schedule regardless of the thread count; this pins the
-/// contract the CI `--identical` gate checks end to end).
-#[test]
-fn windowed_fingerprints_identical_across_threads() {
-    let fingerprint = |_threads: usize| {
-        let mut clock = Clock::new();
-        let t = build_remote_table(&mut clock, 64, 2, NetConfig::default());
-        let p = PushdownParams {
-            pages: 64,
-            scan_pages: 8,
-            workers: 6,
-            selectivity: 0.02,
-            mode: ScanMode::Planner,
-            duration: SimDuration::from_millis(20),
-            seed: 23,
-        };
-        let (s, matched) = run_pushdown_windowed(&t, &p, clock.now());
-        (
-            s.ops,
-            s.completed_in_horizon,
-            matched,
-            s.mean_latency_us.to_bits(),
-        )
-    };
-    let base = fingerprint(1);
-    for threads in [2, 8] {
-        assert_eq!(fingerprint(threads), base, "threads={threads} diverged");
     }
 }

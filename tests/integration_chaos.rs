@@ -309,98 +309,6 @@ fn vectored_chaos_run(seed: u64) -> Outcome {
     }
 }
 
-/// The chaos workload driven by the windowed [`ParallelDriver`] schedule
-/// (ordered mode — engine + fabric ops) at a given `--threads` value. The
-/// thread count only sizes the parallel-mode pool, so every observable —
-/// query checksums and the fault-log fingerprint — must be identical for
-/// any value; this is the cross-mode leg of the determinism contract.
-fn windowed_chaos_run(seed: u64, threads: usize) -> Outcome {
-    use remem_sim::{Histogram, ParallelDriver};
-
-    let c = Cluster::builder()
-        .memory_servers(3)
-        .memory_per_server(64 << 20)
-        .placement(PlacementPolicy::Spread)
-        .build();
-    let mut clock = Clock::new();
-    let log = Arc::new(FaultLog::new());
-    let opts = DbOptions {
-        pool_bytes: 1 << 20,
-        fault_log: Some(Arc::clone(&log)),
-        metrics: None,
-        ..DbOptions::small()
-    };
-    let db = Design::Custom.build(&c, &mut clock, &opts).unwrap();
-    let t = db
-        .create_table(
-            &mut clock,
-            "t",
-            Schema::new(vec![
-                ("k", ColType::Int),
-                ("v", ColType::Int),
-                ("pad", ColType::Str),
-            ]),
-            0,
-        )
-        .unwrap();
-    let mut model = vec![0i64; ROWS as usize];
-    for k in 0..ROWS {
-        model[k as usize] = k * 3;
-        db.insert(
-            &mut clock,
-            t,
-            remem::Row::new(vec![
-                Value::Int(k),
-                Value::Int(k * 3),
-                Value::Str("p".repeat(180)),
-            ]),
-        )
-        .unwrap();
-    }
-    c.fabric
-        .set_fault_injector(Some(Arc::new(FaultInjector::randomized_with_log(
-            seed,
-            &c.memory_servers,
-            FAULT_HORIZON,
-            Arc::clone(&log),
-        ))));
-
-    const WORKERS: usize = 8;
-    let start = clock.now();
-    let horizon = SimTime(start.as_nanos() + 5_000_000); // 5 ms inside the flaky windows
-    let mut rngs: Vec<SimRng> = (0..WORKERS)
-        .map(|w| SimRng::for_worker(seed, w as u64))
-        .collect();
-    let mut checksum = 0xcbf29ce484222325u64;
-    let lat = Histogram::new();
-    let mut driver = ParallelDriver::new(WORKERS, horizon)
-        .threads(threads)
-        .starting_at(start);
-    driver.run_ordered(&lat, |w, clk| {
-        let rng = &mut rngs[w];
-        let lo = rng.uniform(0, (ROWS - 200) as u64) as i64;
-        let rows = db.range(clk, t, lo, lo + 200).expect("scan must not fail");
-        assert_eq!(rows.len(), 200, "range [{lo},{}) incomplete", lo + 200);
-        for r in &rows {
-            assert_eq!(r.int(1), model[r.int(0) as usize]);
-            fnv(&mut checksum, r.int(1) as u64);
-        }
-        let k = rng.uniform(0, ROWS as u64) as i64;
-        let v = rng.uniform(0, 1 << 30) as i64;
-        db.update(clk, t, k, |row| row.0[1] = Value::Int(v))
-            .expect("update");
-        model[k as usize] = v;
-        fnv(&mut checksum, v as u64);
-    });
-    for s in lat.raw_samples() {
-        fnv(&mut checksum, s);
-    }
-    Outcome {
-        checksum,
-        fingerprint: log.fingerprint(),
-    }
-}
-
 /// The replicated chaos round: the same RangeScan-with-updates workload on a
 /// `k`-way replicated Custom design loses one donor mid-run. The contract is
 /// strictly stronger than the single-copy rounds above: not only are all
@@ -521,25 +429,6 @@ fn replicated_chaos_absorbs_donor_kill_without_rereads() {
             "k={k}: fault logs must replay identically"
         );
     }
-}
-
-#[test]
-fn windowed_chaos_is_identical_across_thread_counts() {
-    let base = windowed_chaos_run(0xBEEF, 1);
-    for threads in [2usize, 8] {
-        let got = windowed_chaos_run(0xBEEF, threads);
-        assert_eq!(
-            got.checksum, base.checksum,
-            "--threads {threads} changed the query results"
-        );
-        assert_eq!(
-            got.fingerprint, base.fingerprint,
-            "--threads {threads} changed the fault schedule"
-        );
-    }
-    // and the schedule is real: a different seed diverges
-    let other = windowed_chaos_run(0xBEF0, 1);
-    assert_ne!(base.fingerprint, other.fingerprint);
 }
 
 #[test]
