@@ -391,14 +391,6 @@ impl Fabric {
         }
     }
 
-    /// The attached metrics registry, if any.
-    pub fn metrics_registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.metrics
-            .read()
-            .as_ref()
-            .map(|m| Arc::clone(&m.registry))
-    }
-
     pub fn is_connected(&self, a: ServerId, b: ServerId) -> bool {
         a == b || self.connections.lock().contains(&ordered(a, b))
     }

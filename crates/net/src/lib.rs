@@ -5,7 +5,7 @@
 //! * [`Server`] — a machine with CPU cores, a NIC, and registrable memory.
 //! * [`Nic`] — Mellanox-ConnectX-3-like NIC: a 56 Gbps port modelled as a
 //!   bandwidth pipe, memory-region registration with the paper's measured
-//!   costs (50 µs per registration, 2 GB/MR, ~130 K MRs), and queue pairs.
+//!   costs (50 µs per registration, 2 GB/MR, ~130 K MRs).
 //! * [`MemoryRegion`] — registered memory holding *real bytes*; RDMA verbs
 //!   actually move data so correctness is testable end-to-end.
 //! * [`Fabric`] — the cluster: owns servers and implements the three
@@ -36,7 +36,4 @@ pub use fault::FaultInjector;
 pub use mr::{MemoryRegion, MrHandle, MrId};
 pub use nic::Nic;
 pub use server::{Server, ServerId};
-pub use verbs::{
-    Completion, QueuePair, ReadSge, Verb, WorkRequest, WorkRequestId, WriteSge,
-    DEFAULT_MAX_OUTSTANDING,
-};
+pub use verbs::{ReadSge, WorkRequest, WriteSge};

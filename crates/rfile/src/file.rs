@@ -178,76 +178,88 @@ impl QuorumAppend {
     }
 }
 
-/// One operation of the asynchronous submit/complete API
-/// ([`RemoteFile::submit`] / [`RemoteFile::complete`]). Buffers are owned by
-/// the op so a batch can be held across scheduler activations.
-#[derive(Debug)]
-pub enum IoOp {
-    /// Fill `buf` from file `offset`.
-    Read { offset: u64, buf: Vec<u8> },
-    /// Store `data` at file `offset`.
-    Write { offset: u64, data: Vec<u8> },
+/// The caller's bytes behind one chunk of a vectored request: a read fills
+/// `Read`, a write drains `Write`. The wave engine looks inside only where
+/// it builds a work request's SGEs and where it takes them apart again.
+enum Span<'b> {
+    Read(&'b mut [u8]),
+    Write(&'b [u8]),
 }
 
-impl IoOp {
-    /// Convenience constructor: a read of `len` zero-initialized bytes.
-    pub fn read(offset: u64, len: usize) -> IoOp {
-        IoOp::Read {
-            offset,
-            buf: vec![0u8; len],
+impl<'b> Span<'b> {
+    fn len(&self) -> u64 {
+        match self {
+            Span::Read(buf) => buf.len() as u64,
+            Span::Write(data) => data.len() as u64,
         }
     }
 
-    pub fn write(offset: u64, data: Vec<u8>) -> IoOp {
-        IoOp::Write { offset, data }
+    fn split_at(self, at: u64) -> (Span<'b>, Span<'b>) {
+        match self {
+            Span::Read(buf) => {
+                let (head, tail) = buf.split_at_mut(at as usize);
+                (Span::Read(head), Span::Read(tail))
+            }
+            Span::Write(data) => {
+                let (head, tail) = data.split_at(at as usize);
+                (Span::Write(head), Span::Write(tail))
+            }
+        }
+    }
+
+    /// Append this span at `offset` of `mr` to the work-request list: as
+    /// one more SGE of the last WR when `coalesce`, else as a new WR.
+    fn push_sge(self, wrs: &mut Vec<WorkRequest<'b>>, mr: MrHandle, offset: u64, coalesce: bool) {
+        match (self, wrs.last_mut()) {
+            (Span::Read(buf), Some(WorkRequest::Read(sges))) if coalesce => {
+                sges.push(ReadSge { mr, offset, buf });
+            }
+            (Span::Write(data), Some(WorkRequest::Write(sges))) if coalesce => {
+                sges.push(WriteSge { mr, offset, data });
+            }
+            (Span::Read(buf), _) => wrs.push(WorkRequest::Read(vec![ReadSge { mr, offset, buf }])),
+            (Span::Write(data), _) => {
+                wrs.push(WorkRequest::Write(vec![WriteSge { mr, offset, data }]));
+            }
+        }
     }
 }
 
-/// A batch recorded by [`RemoteFile::submit`], awaiting
-/// [`RemoteFile::complete`]. Submission charges no virtual time and moves no
-/// bytes; dropping an un-completed batch performs no I/O.
-#[must_use = "submitted I/O does nothing until complete() is called"]
-pub struct IoBatch {
-    ops: Vec<IoOp>,
-}
+/// `(request, file offset, tries)` of a chunk riding in a work request.
+type ChunkMeta = (usize, u64, u32);
 
-impl IoBatch {
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-/// One queued chunk of a vectored read: which request it belongs to and the
-/// sub-slice of that request's buffer still unserved. Chunks split at extent
+/// One queued chunk of a vectored request: which request it belongs to and
+/// the part of that request's bytes still unserved. Chunks split at extent
 /// boundaries and carry their own retry schedule, so one chunk backing off
 /// never stalls the rest of the batch.
-struct ReadChunk<'b> {
+struct Chunk<'b> {
     req: usize,
     file_off: u64,
     tries: u32,
     not_before: SimTime,
-    buf: &'b mut [u8],
+    span: Span<'b>,
 }
 
-/// Write-side twin of [`ReadChunk`].
-struct WriteChunk<'b> {
-    req: usize,
-    file_off: u64,
-    tries: u32,
-    not_before: SimTime,
-    data: &'b [u8],
+impl<'b> Chunk<'b> {
+    /// Take a failed work request apart into its chunks again, in SGE
+    /// order, given each SGE's [`ChunkMeta`].
+    fn unpack(wr: WorkRequest<'b>, meta: Vec<ChunkMeta>) -> impl Iterator<Item = Chunk<'b>> {
+        let spans: Vec<Span<'b>> = match wr {
+            WorkRequest::Read(sges) => sges.into_iter().map(|s| Span::Read(s.buf)).collect(),
+            WorkRequest::Write(sges) => sges.into_iter().map(|s| Span::Write(s.data)).collect(),
+        };
+        spans
+            .into_iter()
+            .zip(meta)
+            .map(|(span, (req, file_off, tries))| Chunk {
+                req,
+                file_off,
+                tries,
+                not_before: SimTime::ZERO,
+                span,
+            })
+    }
 }
-
-/// One located wave entry: `(request, file_off, tries, backing MR,
-/// offset-within-MR, buffer)` — the chunk after address translation, ready
-/// to be coalesced into a work request.
-type ReadWave<'b> = Vec<(usize, u64, u32, MrHandle, u64, &'b mut [u8])>;
-/// Write-side twin of [`ReadWave`].
-type WriteWave<'b> = Vec<(usize, u64, u32, MrHandle, u64, &'b [u8])>;
 
 /// A file whose bytes live in remote memory, accessed via RDMA.
 ///
@@ -1218,10 +1230,75 @@ impl RemoteFile {
         }
     }
 
+    /// `[offset, offset+len)` must lie inside the file — the one bounds
+    /// check of the scalar loop and the wave engine.
+    fn check_bounds(&self, offset: u64, len: u64) -> Result<(), StorageError> {
+        if offset + len > self.size {
+            return Err(StorageError::OutOfBounds {
+                offset,
+                len,
+                capacity: self.size,
+            });
+        }
+        Ok(())
+    }
+
+    /// Log that the chunk at `file_off` went through after `tries` transient
+    /// retries (nothing to log on a first-attempt success).
+    fn note_retried_ok(&self, at: SimTime, file_off: u64, tries: u32) {
+        if tries > 0 {
+            self.note(
+                at,
+                FaultOrigin::Recovery,
+                "rfile.retry",
+                format!("chunk at {file_off} ok after {tries} retries"),
+            );
+        }
+    }
+
+    /// The transient rung of the fault ladder: the chunk at `file_off` just
+    /// failed its `tries`-th attempt against `server`. Counts the retry and
+    /// returns the backoff to wait before the next attempt or, once
+    /// `max_retries` is spent, logs the give-up and returns the error.
+    fn transient_retry(
+        &self,
+        at: SimTime,
+        file_off: u64,
+        tries: u32,
+        server: ServerId,
+        reason: &str,
+    ) -> Result<SimDuration, StorageError> {
+        if tries > self.cfg.max_retries {
+            self.note(
+                at,
+                FaultOrigin::Observed,
+                "rfile.retry",
+                format!(
+                    "chunk at {file_off} gave up after {} retries",
+                    self.cfg.max_retries
+                ),
+            );
+            return Err(StorageError::Transient(format!(
+                "{} retries exhausted reaching {server:?}: {reason}",
+                self.cfg.max_retries
+            )));
+        }
+        self.retries.add(1);
+        if let Some(m) = &self.metrics {
+            m.retries.incr();
+        }
+        Ok(self.cfg.retry_backoff * (1 << (tries - 1)))
+    }
+
     /// The scalar chunk loop: locate, charge, issue, and retry/fail-over/
     /// heal until `[offset, offset+len)` is covered. `staged` charges the
     /// per-chunk staging-buffer preparation (true for reads/writes that
     /// move the whole chunk; pushdown charges its own reply-sized copy).
+    ///
+    /// Chunks run one after another rather than as a one-op wave: a retried
+    /// chunk holds its place instead of queueing behind its own tail, the
+    /// access-mode penalty is paid per successful chunk, and no doorbell is
+    /// rung, so the `fabric.batch.*` counters see vectored traffic only.
     fn io<F>(
         &self,
         clock: &mut Clock,
@@ -1236,13 +1313,7 @@ impl RemoteFile {
         if !self.is_open.load(Ordering::Acquire) {
             return Err(StorageError::Unavailable("file is not open".into()));
         }
-        if offset + len > self.size {
-            return Err(StorageError::OutOfBounds {
-                offset,
-                len,
-                capacity: self.size,
-            });
-        }
+        self.check_bounds(offset, len)?;
         self.ensure_lease(clock)?;
         let mut cur = offset;
         let mut done = 0u64;
@@ -1257,92 +1328,19 @@ impl RemoteFile {
             let issued = clock.now();
             match chunk_op(clock, mr, mr_off, done, chunk) {
                 Ok(()) => {
-                    if transient_tries > 0 {
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.retry",
-                            format!("chunk at {cur} ok after {transient_tries} retries"),
-                        );
-                        transient_tries = 0;
-                    }
+                    self.note_retried_ok(clock.now(), cur, transient_tries);
+                    transient_tries = 0;
                     self.access_mode_penalty(clock, clock.now().since(issued));
                     cur += chunk;
                     done += chunk;
                 }
                 Err(NetError::Transient { server, reason }) => {
                     transient_tries += 1;
-                    if transient_tries > self.cfg.max_retries {
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Observed,
-                            "rfile.retry",
-                            format!(
-                                "chunk at {cur} gave up after {} retries",
-                                self.cfg.max_retries
-                            ),
-                        );
-                        return Err(StorageError::Transient(format!(
-                            "{} retries exhausted reaching {server:?}: {reason}",
-                            self.cfg.max_retries
-                        )));
-                    }
-                    self.retries.add(1);
-                    if let Some(m) = &self.metrics {
-                        m.retries.incr();
-                    }
-                    clock.advance(self.cfg.retry_backoff * (1 << (transient_tries - 1)));
+                    let wait =
+                        self.transient_retry(clock.now(), cur, transient_tries, server, reason)?;
+                    clock.advance(wait);
                 }
-                Err(fatal) => {
-                    // failover before repair: if the broker already fenced a
-                    // new replica epoch, re-pointing at a survivor is enough
-                    // — no re-lease, no data loss, retry immediately
-                    if self.replicated() && self.refresh_replicas() {
-                        self.failovers.add(1);
-                        if let Some(m) = &self.metrics {
-                            m.failovers.incr();
-                        }
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.failover",
-                            format!("re-pointed at surviving replica after: {fatal}"),
-                        );
-                        continue;
-                    }
-                    if !self.cfg.self_heal && !self.replicated() {
-                        return Err(StorageError::Unavailable(fatal.to_string()));
-                    }
-                    heals += 1;
-                    if heals > MAX_HEALS_PER_IO {
-                        return Err(StorageError::Unavailable(format!(
-                            "giving up after {MAX_HEALS_PER_IO} repair attempts: {fatal}"
-                        )));
-                    }
-                    // blind rotation (broker epoch unchanged, e.g. blackout):
-                    // costs heal budget so an all-dead group can't spin
-                    if self.replicated() && self.rotate_preferred(mr) {
-                        self.failovers.add(1);
-                        if let Some(m) = &self.metrics {
-                            m.failovers.incr();
-                        }
-                        self.note(
-                            clock.now(),
-                            FaultOrigin::Recovery,
-                            "rfile.failover",
-                            format!("rotated to peer replica after: {fatal}"),
-                        );
-                        continue;
-                    }
-                    self.note(
-                        clock.now(),
-                        FaultOrigin::Observed,
-                        "rfile.fatal",
-                        fatal.to_string(),
-                    );
-                    self.ensure_lease(clock)?;
-                    self.try_repair(clock)?;
-                }
+                Err(fatal) => self.heal_once(clock, &mut heals, &fatal, mr)?,
             }
         }
         Ok(())
@@ -1625,14 +1623,8 @@ impl RemoteFile {
             }
             return false;
         }
-        for (i, &(offset, len)) in shape.iter().enumerate() {
-            if offset + len > self.size {
-                results[i] = Err(StorageError::OutOfBounds {
-                    offset,
-                    len,
-                    capacity: self.size,
-                });
-            }
+        for (r, &(offset, len)) in results.iter_mut().zip(shape) {
+            *r = self.check_bounds(offset, len);
         }
         if let Err(e) = self.ensure_lease(clock) {
             for r in results.iter_mut() {
@@ -1645,17 +1637,25 @@ impl RemoteFile {
         results.iter().any(|r| r.is_ok())
     }
 
-    /// Bounded self-heal shared by the wave engines; mirrors the scalar
-    /// fatal-fault arm of [`RemoteFile::io`].
+    /// The fatal rung of the fault ladder, shared by the scalar loop and the
+    /// wave engine: a verb against `failed` died with `fatal`. Without
+    /// self-heal or replicas that is the end. Otherwise fail over to a
+    /// survivor the broker already fenced (free), else spend one of
+    /// [`MAX_HEALS_PER_IO`] heal attempts: rotate blind to a peer replica,
+    /// or re-lease the dead stripes. `Ok` means "retry the chunk".
     fn heal_once(
         &self,
         clock: &mut Clock,
         heals: &mut u32,
         fatal: &NetError,
-        failed: Option<MrHandle>,
+        failed: MrHandle,
     ) -> Result<(), StorageError> {
-        // failover first, as in the scalar path: an epoch fence that
-        // re-points the extents costs no heal budget
+        if !self.cfg.self_heal && !self.replicated() {
+            return Err(StorageError::Unavailable(fatal.to_string()));
+        }
+        // failover before repair: if the broker already fenced a new replica
+        // epoch, re-pointing at a survivor is enough — no re-lease, no data
+        // loss, no heal budget spent
         if self.replicated() && self.refresh_replicas() {
             self.failovers.add(1);
             if let Some(m) = &self.metrics {
@@ -1675,22 +1675,20 @@ impl RemoteFile {
                 "giving up after {MAX_HEALS_PER_IO} repair attempts: {fatal}"
             )));
         }
-        // blind rotation (broker epoch unchanged): costs heal budget so an
-        // all-dead group can't spin
-        if let Some(mr) = failed {
-            if self.replicated() && self.rotate_preferred(mr) {
-                self.failovers.add(1);
-                if let Some(m) = &self.metrics {
-                    m.failovers.incr();
-                }
-                self.note(
-                    clock.now(),
-                    FaultOrigin::Recovery,
-                    "rfile.failover",
-                    format!("rotated to peer replica after: {fatal}"),
-                );
-                return Ok(());
+        // blind rotation (broker epoch unchanged, e.g. blackout): costs heal
+        // budget so an all-dead group can't spin
+        if self.replicated() && self.rotate_preferred(failed) {
+            self.failovers.add(1);
+            if let Some(m) = &self.metrics {
+                m.failovers.incr();
             }
+            self.note(
+                clock.now(),
+                FaultOrigin::Recovery,
+                "rfile.failover",
+                format!("rotated to peer replica after: {fatal}"),
+            );
+            return Ok(());
         }
         self.note(
             clock.now(),
@@ -1715,239 +1713,11 @@ impl RemoteFile {
         clock: &mut Clock,
         reqs: &mut [(u64, &mut [u8])],
     ) -> Vec<Result<(), StorageError>> {
-        let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.read_vectored_span, t0));
-        let shape: Vec<(u64, u64)> = reqs.iter().map(|(o, b)| (*o, b.len() as u64)).collect();
-        let mut results: Vec<Result<(), StorageError>> = vec![Ok(()); reqs.len()];
-        if self.vectored_preflight(clock, &shape, &mut results) {
-            let mut queue: VecDeque<ReadChunk<'_>> = VecDeque::new();
-            for (i, (offset, buf)) in reqs.iter_mut().enumerate() {
-                if results[i].is_err() || buf.is_empty() {
-                    continue;
-                }
-                queue.push_back(ReadChunk {
-                    req: i,
-                    file_off: *offset,
-                    tries: 0,
-                    not_before: SimTime::ZERO,
-                    buf,
-                });
-            }
-            self.drive_read_waves(clock, &mut queue, &mut results);
-        }
-        let (mut ok_n, mut ok_bytes) = (0u64, 0u64);
-        for (i, r) in results.iter().enumerate() {
-            if r.is_ok() {
-                ok_n += 1;
-                ok_bytes += shape[i].1;
-            }
-        }
-        self.bytes_read.add(ok_bytes);
-        if let Some(m) = &self.metrics {
-            if let Some(span) = span {
-                m.registry.span_exit(span, clock.now());
-            }
-            m.read_ops.add(ok_n);
-            m.read_bytes.add(ok_bytes);
-            m.read_lat.record(clock.now().since(t0));
-        }
-        results
-    }
-
-    fn drive_read_waves<'b>(
-        &self,
-        clock: &mut Clock,
-        queue: &mut VecDeque<ReadChunk<'b>>,
-        results: &mut [Result<(), StorageError>],
-    ) {
-        let qd = self.cfg.queue_depth.max(1);
-        let mut heals = 0u32;
-        loop {
-            // drop chunks whose request already failed through a sibling
-            queue.retain(|c| results[c.req].is_ok());
-            if queue.is_empty() {
-                return;
-            }
-            // only when *every* survivor is backing off does backoff cost
-            // clock time — otherwise retries hide behind other waves
-            let now = clock.now();
-            // every queued chunk backing off == the earliest deadline is in
-            // the future; only then does backoff cost any virtual time
-            if let Some(t) = queue.iter().map(|c| c.not_before).min() {
-                if t > now {
-                    clock.advance_to(t);
-                }
-            }
-            // carve one wave of ready chunks, splitting at extent boundaries
-            // (re-locating every time: a repair may have swapped the backing)
-            let mut wave: ReadWave<'b> = Vec::new();
-            let mut scan = queue.len();
-            while wave.len() < qd && scan > 0 {
-                scan -= 1;
-                let Some(chunk) = queue.pop_front() else {
-                    break;
-                };
-                if chunk.not_before > clock.now() {
-                    queue.push_back(chunk);
-                    continue;
-                }
-                let (mr, mr_off, avail) = self.locate(chunk.file_off, chunk.buf.len() as u64);
-                let ReadChunk {
-                    req,
-                    file_off,
-                    tries,
-                    not_before,
-                    buf,
-                } = chunk;
-                if avail < buf.len() as u64 {
-                    let (head, tail) = buf.split_at_mut(avail as usize);
-                    queue.push_front(ReadChunk {
-                        req,
-                        file_off: file_off + avail,
-                        tries,
-                        not_before,
-                        buf: tail,
-                    });
-                    wave.push((req, file_off, tries, mr, mr_off, head));
-                } else {
-                    wave.push((req, file_off, tries, mr, mr_off, buf));
-                }
-            }
-            if wave.is_empty() {
-                continue;
-            }
-            // local prep (staging memcpy / dynamic registration) serializes
-            // on the issuing scheduler, exactly as in the scalar path
-            for (_, _, _, _, _, buf) in &wave {
-                self.prepare_transfer(clock, buf.len() as u64);
-            }
-            // coalesce MR-adjacent chunks into multi-SGE WRs: a sequential
-            // readahead batch or a run of dirty neighbours becomes one WR
-            wave.sort_by_key(|&(_, _, _, mr, mr_off, _)| (mr.server.0, mr.mr, mr_off));
-            let mut wrs: Vec<WorkRequest<'_>> = Vec::new();
-            let mut metas: Vec<Vec<(usize, u64, u32)>> = Vec::new();
-            for (req, file_off, tries, mr, mr_off, buf) in wave {
-                let contiguous = match wrs.last() {
-                    Some(WorkRequest::Read(sges)) => sges.last().is_some_and(|last| {
-                        last.mr.server == mr.server
-                            && last.mr.mr == mr.mr
-                            && last.offset + last.buf.len() as u64 == mr_off
-                    }),
-                    _ => false,
-                };
-                let sge = ReadSge {
-                    mr,
-                    offset: mr_off,
-                    buf,
-                };
-                match (wrs.last_mut(), metas.last_mut()) {
-                    (Some(WorkRequest::Read(sges)), Some(meta)) if contiguous => {
-                        sges.push(sge);
-                        meta.push((req, file_off, tries));
-                    }
-                    _ => {
-                        wrs.push(WorkRequest::Read(vec![sge]));
-                        metas.push(vec![(req, file_off, tries)]);
-                    }
-                }
-            }
-            let issued = clock.now();
-            let comps = self
-                .fabric
-                .execute_batch(clock, self.cfg.protocol, self.local, &mut wrs);
-            self.access_mode_penalty(clock, clock.now().since(issued));
-            let mut healed_this_wave = false;
-            for ((wr, meta), comp) in wrs.into_iter().zip(metas).zip(comps) {
-                let WorkRequest::Read(sges) = wr else {
-                    unreachable!("read wave only posts read WRs")
-                };
-                match comp.result {
-                    Ok(()) => {
-                        for &(_, file_off, tries) in &meta {
-                            if tries > 0 {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Recovery,
-                                    "rfile.retry",
-                                    format!("chunk at {file_off} ok after {tries} retries"),
-                                );
-                            }
-                        }
-                    }
-                    Err(NetError::Transient { server, reason }) => {
-                        for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                            let tries = tries + 1;
-                            if tries > self.cfg.max_retries {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Observed,
-                                    "rfile.retry",
-                                    format!(
-                                        "chunk at {file_off} gave up after {} retries",
-                                        self.cfg.max_retries
-                                    ),
-                                );
-                                results[req] = Err(StorageError::Transient(format!(
-                                    "{} retries exhausted reaching {server:?}: {reason}",
-                                    self.cfg.max_retries
-                                )));
-                                continue;
-                            }
-                            self.retries.add(1);
-                            if let Some(m) = &self.metrics {
-                                m.retries.incr();
-                            }
-                            queue.push_back(ReadChunk {
-                                req,
-                                file_off,
-                                tries,
-                                not_before: clock.now()
-                                    + self.cfg.retry_backoff * (1 << (tries - 1)),
-                                buf: sge.buf,
-                            });
-                        }
-                    }
-                    Err(fatal) => {
-                        if !self.cfg.self_heal && !self.replicated() {
-                            for (req, _, _) in meta {
-                                results[req] = Err(StorageError::Unavailable(fatal.to_string()));
-                            }
-                            continue;
-                        }
-                        // one heal per wave covers every fatal WR in it: the
-                        // repair already replaced all the dead stripes
-                        let heal = if healed_this_wave {
-                            Ok(())
-                        } else {
-                            let failed = sges.first().map(|s| s.mr);
-                            self.heal_once(clock, &mut heals, &fatal, failed)
-                        };
-                        match heal {
-                            Ok(()) => {
-                                healed_this_wave = true;
-                                for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                                    queue.push_back(ReadChunk {
-                                        req,
-                                        file_off,
-                                        tries,
-                                        not_before: clock.now(),
-                                        buf: sge.buf,
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                for (req, _, _) in meta {
-                                    results[req] = Err(e.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let spans = reqs
+            .iter_mut()
+            .map(|(offset, buf)| (*offset, Span::Read(buf)))
+            .collect();
+        self.vectored(clock, false, spans)
     }
 
     /// **Vectored write**: the gather-side twin of
@@ -1967,70 +1737,107 @@ impl RemoteFile {
                 .map(|(off, data)| self.write(clock, *off, data))
                 .collect();
         }
+        let spans = reqs
+            .iter()
+            .map(|&(offset, data)| (offset, Span::Write(data)))
+            .collect();
+        self.vectored(clock, true, spans)
+    }
+
+    /// The front half shared by both vectored calls: span, preflight, queue
+    /// the non-empty valid requests for the wave engine, then account the
+    /// requests that succeeded.
+    fn vectored<'b>(
+        &self,
+        clock: &mut Clock,
+        write: bool,
+        reqs: Vec<(u64, Span<'b>)>,
+    ) -> Vec<Result<(), StorageError>> {
         let t0 = clock.now();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.span_enter_id(m.write_vectored_span, t0));
-        let shape: Vec<(u64, u64)> = reqs.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
+        let span = self.metrics.as_ref().map(|m| {
+            let id = if write {
+                m.write_vectored_span
+            } else {
+                m.read_vectored_span
+            };
+            m.registry.span_enter_id(id, t0)
+        });
+        let shape: Vec<(u64, u64)> = reqs.iter().map(|(o, s)| (*o, s.len())).collect();
         let mut results: Vec<Result<(), StorageError>> = vec![Ok(()); reqs.len()];
         if self.vectored_preflight(clock, &shape, &mut results) {
-            let mut queue: VecDeque<WriteChunk<'_>> = VecDeque::new();
-            for (i, (offset, data)) in reqs.iter().enumerate() {
-                if results[i].is_err() || data.is_empty() {
-                    continue;
-                }
-                queue.push_back(WriteChunk {
-                    req: i,
-                    file_off: *offset,
+            let mut queue: VecDeque<Chunk<'b>> = reqs
+                .into_iter()
+                .enumerate()
+                .filter(|(i, (_, s))| results[*i].is_ok() && s.len() > 0)
+                .map(|(req, (file_off, span))| Chunk {
+                    req,
+                    file_off,
                     tries: 0,
                     not_before: SimTime::ZERO,
-                    data,
-                });
-            }
-            self.drive_write_waves(clock, &mut queue, &mut results);
+                    span,
+                })
+                .collect();
+            self.drive_waves(clock, &mut queue, &mut results);
         }
         let (mut ok_n, mut ok_bytes) = (0u64, 0u64);
-        for (i, r) in results.iter().enumerate() {
+        for (r, &(_, len)) in results.iter().zip(&shape) {
             if r.is_ok() {
                 ok_n += 1;
-                ok_bytes += shape[i].1;
+                ok_bytes += len;
             }
         }
-        self.bytes_written.add(ok_bytes);
+        let local = if write {
+            &self.bytes_written
+        } else {
+            &self.bytes_read
+        };
+        local.add(ok_bytes);
         if let Some(m) = &self.metrics {
             if let Some(span) = span {
                 m.registry.span_exit(span, clock.now());
             }
-            m.write_ops.add(ok_n);
-            m.write_bytes.add(ok_bytes);
-            m.write_lat.record(clock.now().since(t0));
+            let (ops, bytes, lat) = if write {
+                (&m.write_ops, &m.write_bytes, &m.write_lat)
+            } else {
+                (&m.read_ops, &m.read_bytes, &m.read_lat)
+            };
+            ops.add(ok_n);
+            bytes.add(ok_bytes);
+            lat.record(clock.now().since(t0));
         }
         results
     }
 
-    fn drive_write_waves<'b>(
+    /// The wave engine: issue `queue` in waves of up to `cfg.queue_depth`
+    /// ready chunks, one doorbell per wave, until every chunk has landed or
+    /// its request has failed. Each wave re-locates its chunks (a repair may
+    /// have swapped the backing), splits them at extent boundaries, and
+    /// coalesces MR-adjacent ones into multi-SGE work requests. Failed work
+    /// requests climb the same fault ladder as the scalar loop: transient
+    /// ones re-queue their chunks behind a backoff, fatal ones heal once per
+    /// wave and re-queue.
+    fn drive_waves<'b>(
         &self,
         clock: &mut Clock,
-        queue: &mut VecDeque<WriteChunk<'b>>,
+        queue: &mut VecDeque<Chunk<'b>>,
         results: &mut [Result<(), StorageError>],
     ) {
         let qd = self.cfg.queue_depth.max(1);
         let mut heals = 0u32;
         loop {
+            // drop chunks whose request already failed through a sibling
             queue.retain(|c| results[c.req].is_ok());
-            if queue.is_empty() {
+            // only when *every* queued chunk is backing off (the earliest
+            // deadline is in the future) does backoff cost virtual time —
+            // otherwise retries hide behind other waves
+            let Some(t) = queue.iter().map(|c| c.not_before).min() else {
                 return;
+            };
+            if t > clock.now() {
+                clock.advance_to(t);
             }
-            let now = clock.now();
-            // every queued chunk backing off == the earliest deadline is in
-            // the future; only then does backoff cost any virtual time
-            if let Some(t) = queue.iter().map(|c| c.not_before).min() {
-                if t > now {
-                    clock.advance_to(t);
-                }
-            }
-            let mut wave: WriteWave<'b> = Vec::new();
+            // carve one wave of ready chunks, splitting at extent boundaries
+            let mut wave: Vec<(MrHandle, u64, Chunk<'b>)> = Vec::new();
             let mut scan = queue.len();
             while wave.len() < qd && scan > 0 {
                 scan -= 1;
@@ -2041,60 +1848,49 @@ impl RemoteFile {
                     queue.push_back(chunk);
                     continue;
                 }
-                let (mr, mr_off, avail) = self.locate(chunk.file_off, chunk.data.len() as u64);
-                let WriteChunk {
-                    req,
-                    file_off,
-                    tries,
-                    not_before,
-                    data,
-                } = chunk;
-                if avail < data.len() as u64 {
-                    let (head, tail) = data.split_at(avail as usize);
-                    queue.push_front(WriteChunk {
-                        req,
-                        file_off: file_off + avail,
-                        tries,
-                        not_before,
-                        data: tail,
+                let (mr, mr_off, avail) = self.locate(chunk.file_off, chunk.span.len());
+                if avail < chunk.span.len() {
+                    let (head, tail) = chunk.span.split_at(avail);
+                    queue.push_front(Chunk {
+                        file_off: chunk.file_off + avail,
+                        span: tail,
+                        ..chunk
                     });
-                    wave.push((req, file_off, tries, mr, mr_off, head));
+                    wave.push((
+                        mr,
+                        mr_off,
+                        Chunk {
+                            span: head,
+                            ..chunk
+                        },
+                    ));
                 } else {
-                    wave.push((req, file_off, tries, mr, mr_off, data));
+                    wave.push((mr, mr_off, chunk));
                 }
             }
             if wave.is_empty() {
                 continue;
             }
-            for (_, _, _, _, _, data) in &wave {
-                self.prepare_transfer(clock, data.len() as u64);
+            // local prep (staging memcpy / dynamic registration) serializes
+            // on the issuing scheduler, exactly as in the scalar path
+            for (_, _, c) in &wave {
+                self.prepare_transfer(clock, c.span.len());
             }
-            wave.sort_by_key(|&(_, _, _, mr, mr_off, _)| (mr.server.0, mr.mr, mr_off));
-            let mut wrs: Vec<WorkRequest<'_>> = Vec::new();
-            let mut metas: Vec<Vec<(usize, u64, u32)>> = Vec::new();
-            for (req, file_off, tries, mr, mr_off, data) in wave {
-                let contiguous = match wrs.last() {
-                    Some(WorkRequest::Write(sges)) => sges.last().is_some_and(|last| {
-                        last.mr.server == mr.server
-                            && last.mr.mr == mr.mr
-                            && last.offset + last.data.len() as u64 == mr_off
-                    }),
-                    _ => false,
-                };
-                let sge = WriteSge {
-                    mr,
-                    offset: mr_off,
-                    data,
-                };
-                match (wrs.last_mut(), metas.last_mut()) {
-                    (Some(WorkRequest::Write(sges)), Some(meta)) if contiguous => {
-                        sges.push(sge);
-                        meta.push((req, file_off, tries));
-                    }
-                    _ => {
-                        wrs.push(WorkRequest::Write(vec![sge]));
-                        metas.push(vec![(req, file_off, tries)]);
-                    }
+            // coalesce MR-adjacent chunks into multi-SGE WRs: a sequential
+            // readahead batch or a run of dirty neighbours becomes one WR.
+            // Each WR keeps its first MR (the heal target) and its chunks'
+            // `(request, file offset, tries)`.
+            wave.sort_by_key(|&(mr, mr_off, _)| (mr.server.0, mr.mr, mr_off));
+            let mut wrs: Vec<WorkRequest<'b>> = Vec::new();
+            let mut metas: Vec<(MrHandle, Vec<ChunkMeta>)> = Vec::new();
+            let mut end = None;
+            for (mr, mr_off, c) in wave {
+                let coalesce = end == Some((mr.server, mr.mr, mr_off));
+                end = Some((mr.server, mr.mr, mr_off + c.span.len()));
+                c.span.push_sge(&mut wrs, mr, mr_off, coalesce);
+                match metas.last_mut() {
+                    Some((_, meta)) if coalesce => meta.push((c.req, c.file_off, c.tries)),
+                    _ => metas.push((mr, vec![(c.req, c.file_off, c.tries)])),
                 }
             }
             let issued = clock.now();
@@ -2103,142 +1899,54 @@ impl RemoteFile {
                 .execute_batch(clock, self.cfg.protocol, self.local, &mut wrs);
             self.access_mode_penalty(clock, clock.now().since(issued));
             let mut healed_this_wave = false;
-            for ((wr, meta), comp) in wrs.into_iter().zip(metas).zip(comps) {
-                let WorkRequest::Write(sges) = wr else {
-                    unreachable!("write wave only posts write WRs")
-                };
-                match comp.result {
+            for ((wr, (failed, meta)), comp) in wrs.into_iter().zip(metas).zip(comps) {
+                let fatal = match comp.result {
                     Ok(()) => {
-                        for &(_, file_off, tries) in &meta {
-                            if tries > 0 {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Recovery,
-                                    "rfile.retry",
-                                    format!("chunk at {file_off} ok after {tries} retries"),
-                                );
+                        for (_, file_off, tries) in meta {
+                            self.note_retried_ok(clock.now(), file_off, tries);
+                        }
+                        continue;
+                    }
+                    Err(e) => e,
+                };
+                let chunks = Chunk::unpack(wr, meta);
+                if let NetError::Transient { server, reason } = fatal {
+                    for mut c in chunks {
+                        c.tries += 1;
+                        match self.transient_retry(clock.now(), c.file_off, c.tries, server, reason)
+                        {
+                            Ok(wait) => {
+                                c.not_before = clock.now() + wait;
+                                queue.push_back(c);
                             }
+                            Err(e) => results[c.req] = Err(e),
                         }
                     }
-                    Err(NetError::Transient { server, reason }) => {
-                        for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                            let tries = tries + 1;
-                            if tries > self.cfg.max_retries {
-                                self.note(
-                                    clock.now(),
-                                    FaultOrigin::Observed,
-                                    "rfile.retry",
-                                    format!(
-                                        "chunk at {file_off} gave up after {} retries",
-                                        self.cfg.max_retries
-                                    ),
-                                );
-                                results[req] = Err(StorageError::Transient(format!(
-                                    "{} retries exhausted reaching {server:?}: {reason}",
-                                    self.cfg.max_retries
-                                )));
-                                continue;
-                            }
-                            self.retries.add(1);
-                            if let Some(m) = &self.metrics {
-                                m.retries.incr();
-                            }
-                            queue.push_back(WriteChunk {
-                                req,
-                                file_off,
-                                tries,
-                                not_before: clock.now()
-                                    + self.cfg.retry_backoff * (1 << (tries - 1)),
-                                data: sge.data,
-                            });
+                    continue;
+                }
+                // one heal per wave covers every fatal WR in it: the repair
+                // already replaced all the dead stripes
+                let heal = if healed_this_wave {
+                    Ok(())
+                } else {
+                    self.heal_once(clock, &mut heals, &fatal, failed)
+                };
+                match heal {
+                    Ok(()) => {
+                        healed_this_wave = true;
+                        for mut c in chunks {
+                            c.not_before = clock.now();
+                            queue.push_back(c);
                         }
                     }
-                    Err(fatal) => {
-                        if !self.cfg.self_heal && !self.replicated() {
-                            for (req, _, _) in meta {
-                                results[req] = Err(StorageError::Unavailable(fatal.to_string()));
-                            }
-                            continue;
-                        }
-                        let heal = if healed_this_wave {
-                            Ok(())
-                        } else {
-                            let failed = sges.first().map(|s| s.mr);
-                            self.heal_once(clock, &mut heals, &fatal, failed)
-                        };
-                        match heal {
-                            Ok(()) => {
-                                healed_this_wave = true;
-                                for (sge, (req, file_off, tries)) in sges.into_iter().zip(meta) {
-                                    queue.push_back(WriteChunk {
-                                        req,
-                                        file_off,
-                                        tries,
-                                        not_before: clock.now(),
-                                        data: sge.data,
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                for (req, _, _) in meta {
-                                    results[req] = Err(e.clone());
-                                }
-                            }
+                    Err(e) => {
+                        for c in chunks {
+                            results[c.req] = Err(e.clone());
                         }
                     }
                 }
             }
         }
-    }
-
-    /// **Submit** half of the async API: record the operation list. No
-    /// virtual time is charged and no bytes move until
-    /// [`RemoteFile::complete`] — the caller keeps working in between, which
-    /// is how the engine overlaps spill I/O with compute.
-    pub fn submit(&self, ops: Vec<IoOp>) -> IoBatch {
-        IoBatch { ops }
-    }
-
-    /// **Complete** half of the async API: drive the whole batch through the
-    /// pipelined vectored path — consecutive same-verb runs share doorbells —
-    /// and hand the buffers back with per-op results, in submission order.
-    pub fn complete(
-        &self,
-        clock: &mut Clock,
-        batch: IoBatch,
-    ) -> Vec<(IoOp, Result<(), StorageError>)> {
-        let mut ops = batch.ops;
-        let n = ops.len();
-        let mut results: Vec<Result<(), StorageError>> = Vec::with_capacity(n);
-        let mut i = 0;
-        while i < n {
-            let is_read = matches!(ops[i], IoOp::Read { .. });
-            let mut j = i + 1;
-            while j < n && matches!(ops[j], IoOp::Read { .. }) == is_read {
-                j += 1;
-            }
-            if is_read {
-                let mut reqs: Vec<(u64, &mut [u8])> = ops[i..j]
-                    .iter_mut()
-                    .map(|op| match op {
-                        IoOp::Read { offset, buf } => (*offset, buf.as_mut_slice()),
-                        IoOp::Write { .. } => unreachable!("run contains only reads"),
-                    })
-                    .collect();
-                results.extend(self.read_vectored(clock, &mut reqs));
-            } else {
-                let reqs: Vec<(u64, &[u8])> = ops[i..j]
-                    .iter()
-                    .map(|op| match op {
-                        IoOp::Write { offset, data } => (*offset, data.as_slice()),
-                        IoOp::Read { .. } => unreachable!("run contains only writes"),
-                    })
-                    .collect();
-                results.extend(self.write_vectored(clock, &reqs));
-            }
-            i = j;
-        }
-        ops.into_iter().zip(results).collect()
     }
 }
 
@@ -2877,27 +2585,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_complete_round_trip() {
-        let c = cluster(1, 4, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let f = mk_file(&c, 2 * MR, RFileConfig::custom(), &mut clock);
-        let batch = f.submit(vec![
-            IoOp::write(0, vec![5u8; 4096]),
-            IoOp::write(4096, vec![6u8; 4096]),
-            IoOp::read(0, 8192),
-        ]);
-        assert_eq!(batch.len(), 3);
-        let done = f.complete(&mut clock, batch);
-        assert_eq!(done.len(), 3);
-        assert!(done.iter().all(|(_, r)| r.is_ok()));
-        let IoOp::Read { buf, .. } = &done[2].0 else {
-            panic!("third op is a read");
-        };
-        assert!(buf[..4096].iter().all(|&b| b == 5));
-        assert!(buf[4096..].iter().all(|&b| b == 6));
-    }
-
-    #[test]
     fn repair_backs_off_while_capacity_is_short() {
         let c = cluster(1, 2, PlacementPolicy::Pack);
         let mut clock = Clock::new();
@@ -3326,5 +3013,203 @@ mod tests {
         assert!(f.read_pushdown(&mut clock, 0, 100, &key_lt(1)).is_err());
         assert!(f.read_pushdown(&mut clock, 17, 8192, &key_lt(1)).is_err());
         assert!(f.read_pushdown(&mut clock, 0, 0, &key_lt(1)).is_err());
+    }
+
+    // ─── the fault ladder, pinned ────────────────────────────────────────
+
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        Read,
+        Write,
+        ReadVectored,
+        WriteVectored,
+        Pushdown,
+    }
+
+    /// `(clock nanos, requests ok, retries, failovers, repairs, fault-log
+    /// fingerprint)` of one [`ladder_run`].
+    type Ladder = (u64, usize, u64, u64, u64, u64);
+
+    /// The [`Ladder`] outcome of one whole-file call through `entry` under a
+    /// seeded flaky window on one donor and the crash of another. With
+    /// `blackout`, a third donor also goes dark without the broker noticing,
+    /// so replicated files must rotate to a peer replica blind.
+    fn ladder_run(entry: Entry, replicas: usize, blackout: bool) -> Ladder {
+        const PAGE: usize = 8192;
+        let log = Arc::new(remem_sim::FaultLog::new());
+        let c = cluster(4, 12, PlacementPolicy::Spread);
+        let mut clock = Clock::new();
+        let cfg = RFileConfig {
+            self_heal: true,
+            replicas,
+            max_retries: 6,
+            fault_log: Some(Arc::clone(&log)),
+            ..RFileConfig::custom()
+        };
+        let size = 16 * MR;
+        let f = mk_file(&c, size, cfg, &mut clock);
+        let data = table_pages(size as usize / PAGE, 8);
+        f.write(&mut clock, 0, &data).unwrap();
+        let window = clock.now() + SimDuration::from_secs(1);
+        let mut inj = FaultInjector::with_log(23, Arc::clone(&log)).flaky_window(
+            c.donors[1],
+            clock.now(),
+            window,
+            0.6,
+        );
+        if blackout {
+            inj = inj.blackout(c.donors[2], clock.now(), window);
+        }
+        c.fabric.set_fault_injector(Some(Arc::new(inj)));
+        crash(&c, c.donors[0]);
+        let ok = match entry {
+            Entry::Read => {
+                let mut out = vec![0u8; data.len()];
+                f.read(&mut clock, 0, &mut out).is_ok() as usize
+            }
+            Entry::Write => f.write(&mut clock, 0, &data).is_ok() as usize,
+            Entry::ReadVectored => {
+                let mut bufs = vec![vec![0u8; PAGE]; data.len() / PAGE];
+                let mut reqs: Vec<(u64, &mut [u8])> = bufs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, b)| ((i * PAGE) as u64, b.as_mut_slice()))
+                    .collect();
+                let results = f.read_vectored(&mut clock, &mut reqs);
+                results.iter().filter(|r| r.is_ok()).count()
+            }
+            Entry::WriteVectored => {
+                let reqs: Vec<(u64, &[u8])> = data
+                    .chunks(PAGE)
+                    .enumerate()
+                    .map(|(i, d)| ((i * PAGE) as u64, d))
+                    .collect();
+                let results = f.write_vectored(&mut clock, &reqs);
+                results.iter().filter(|r| r.is_ok()).count()
+            }
+            Entry::Pushdown => f.read_pushdown(&mut clock, 0, size, &key_lt(100)).is_ok() as usize,
+        };
+        c.fabric.set_fault_injector(None);
+        (
+            clock.now().0,
+            ok,
+            f.retries(),
+            f.failovers(),
+            f.repairs(),
+            log.fingerprint(),
+        )
+    }
+
+    /// Every entry point walks the same retry → failover → self-heal ladder.
+    /// The numbers are pinned exactly: merging or reordering the ladder must
+    /// not move one virtual nanosecond, counter or fault-log byte.
+    #[test]
+    fn fault_ladder_is_pinned_per_entry_point() {
+        use Entry::*;
+        #[rustfmt::skip]
+        let pinned: [(Entry, usize, bool, Ladder); 15] = [
+            (Read, 1, false, (7662272, 1, 11, 0, 1, 12497583020861045712)),
+            (Write, 1, false, (7662272, 1, 11, 0, 1, 12497583020861045712)),
+            (ReadVectored, 1, false, (7317601, 120, 64, 0, 1, 7799183602651408096)),
+            (WriteVectored, 1, false, (7317601, 120, 64, 0, 1, 7799183602651408096)),
+            (Pushdown, 1, false, (19082203, 1, 15, 0, 1, 6097843502366903682)),
+            (Read, 2, false, (8969696, 1, 10, 0, 1, 13755994505305982690)),
+            (Write, 2, false, (7669856, 1, 0, 0, 1, 15167886033482549353)),
+            (ReadVectored, 2, false, (10774578, 120, 104, 0, 1, 13162154081708991405)),
+            (WriteVectored, 2, false, (9445120, 128, 0, 0, 1, 17995464235600048880)),
+            (Pushdown, 2, false, (11596877, 1, 15, 0, 1, 5415072228498307883)),
+            (Read, 2, true, (3939272, 0, 3, 5, 0, 14403913949795628566)),
+            (Write, 2, true, (3431920, 0, 0, 5, 0, 2824587707050904550)),
+            (ReadVectored, 2, true, (4362964, 96, 64, 5, 0, 11211298356935175533)),
+            (WriteVectored, 2, true, (8453070, 33, 0, 380, 0, 11807560566123614991)),
+            (Pushdown, 2, true, (7775907, 0, 14, 4, 0, 7756581632299633350)),
+        ];
+        for (entry, replicas, blackout, want) in pinned {
+            assert_eq!(
+                ladder_run(entry, replicas, blackout),
+                want,
+                "{entry:?} replicas={replicas} blackout={blackout}"
+            );
+        }
+    }
+
+    #[test]
+    fn vectored_write_exhausted_retries_fail_only_the_affected_requests() {
+        let c = cluster(2, 2, PlacementPolicy::Spread);
+        let mut clock = Clock::new();
+        let cfg = RFileConfig {
+            retry_backoff: SimDuration::ZERO,
+            ..RFileConfig::custom()
+        };
+        let f = mk_file(&c, 2 * MR, cfg, &mut clock);
+        // Spread puts one MR-sized stripe on each donor
+        let flaky = f.state.lock().extents[0].mr.server;
+        c.fabric
+            .set_fault_injector(Some(Arc::new(FaultInjector::new(5).flaky_window(
+                flaky,
+                SimTime::ZERO,
+                SimTime(1 << 40),
+                1.0,
+            ))));
+        let pages: Vec<(u64, Vec<u8>)> = (0..4u64)
+            .map(|i| (i * MR / 2, vec![(i + 1) as u8; 4096]))
+            .collect();
+        let reqs: Vec<(u64, &[u8])> = pages.iter().map(|(o, d)| (*o, d.as_slice())).collect();
+        let results = f.write_vectored(&mut clock, &reqs);
+        for (i, r) in results.iter().enumerate() {
+            if i < 2 {
+                assert!(
+                    matches!(r, Err(StorageError::Transient(_))),
+                    "request {i} on the flaky stripe: {r:?}"
+                );
+            } else {
+                assert!(r.is_ok(), "request {i} on the healthy stripe: {r:?}");
+            }
+        }
+        assert_eq!(f.bytes_written(), 2 * 4096, "only the survivors count");
+        c.fabric.set_fault_injector(None);
+        for (i, (off, d)) in pages.iter().enumerate() {
+            let mut out = vec![0u8; d.len()];
+            f.read(&mut clock, *off, &mut out).unwrap();
+            let expect = if i < 2 { vec![0u8; d.len()] } else { d.clone() };
+            assert_eq!(out, expect, "request {i}");
+        }
+    }
+
+    #[test]
+    fn vectored_write_heals_through_a_donor_crash_and_reports_the_loss() {
+        let c = cluster(3, 2, PlacementPolicy::Spread);
+        let mut clock = Clock::new();
+        let cfg = RFileConfig {
+            self_heal: true,
+            ..RFileConfig::custom()
+        };
+        let f = mk_file(&c, 4 * MR, cfg, &mut clock);
+        let old = vec![0xAAu8; (4 * MR) as usize];
+        f.write(&mut clock, 0, &old).unwrap();
+        let dead = c.donors[0];
+        let dead_ranges: Vec<(u64, u64)> = f
+            .state
+            .lock()
+            .extents
+            .iter()
+            .filter(|e| e.mr.server == dead)
+            .map(|e| (e.start, e.len))
+            .collect();
+        assert!(!dead_ranges.is_empty(), "spread placement uses every donor");
+        crash(&c, dead);
+        let data: Vec<u8> = (0..(4 * MR) as usize).map(|i| (i % 251) as u8).collect();
+        let reqs: Vec<(u64, &[u8])> = data
+            .chunks(8192)
+            .enumerate()
+            .map(|(i, d)| (i as u64 * 8192, d))
+            .collect();
+        let results = f.write_vectored(&mut clock, &reqs);
+        assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+        assert!(f.repairs() >= 1, "the crash must be healed");
+        assert_eq!(f.drain_lost_ranges(), dead_ranges);
+        let mut out = vec![0u8; data.len()];
+        f.read(&mut clock, 0, &mut out).unwrap();
+        assert_eq!(out, data, "every write landed after the heal");
     }
 }

@@ -31,6 +31,6 @@ pub mod ring;
 pub mod staging;
 
 pub use config::{AccessMode, RFileConfig, RegistrationMode};
-pub use file::{IoBatch, IoOp, PushdownScan, QuorumAppend, RemoteFile};
+pub use file::{PushdownScan, QuorumAppend, RemoteFile};
 pub use ring::RemoteRing;
 pub use staging::StagingBuffers;
