@@ -9,11 +9,11 @@
 use std::sync::Arc;
 
 use remem::{Cluster, Design, Device};
-use remem_bench::{rangescan_opts, windowed_util, InstrumentedDevice, Report};
+use remem_bench::{rangescan_opts, windowed_util, Report};
 use remem_engine::{Database, DbConfig, DeviceSet};
 use remem_rfile::RFileConfig;
-use remem_sim::{Clock, SimDuration};
-use remem_storage::{HddArray, HddConfig, Ssd, SsdConfig};
+use remem_sim::{Clock, MetricsRegistry, SimDuration};
+use remem_storage::{HddArray, HddConfig, MeteredDevice, Ssd, SsdConfig};
 use remem_workloads::rangescan::{load_customer, run_rangescan, RangeScanParams};
 
 const ROWS: u64 = 60_000;
@@ -57,7 +57,14 @@ fn main() {
                 )
                 .unwrap(),
         };
-        let ext = InstrumentedDevice::new(ext_inner);
+        // metered on a private registry, so each window reads this device only
+        let meters = MetricsRegistry::shared();
+        let ext = MeteredDevice::new(ext_inner, Arc::clone(&meters), "bpext");
+        let read_lat = meters.histogram("bpext.read.lat");
+        let moved = [
+            meters.counter("bpext.read.bytes"),
+            meters.counter("bpext.write.bytes"),
+        ];
         let db = Database::new(
             DbConfig::with_pool(opts.pool_bytes),
             cluster
@@ -69,7 +76,7 @@ fn main() {
                 data: Arc::new(HddArray::new(HddConfig::with_spindles(20, opts.data_bytes))),
                 log: Arc::new(HddArray::new(HddConfig::with_spindles(20, 64 << 20))),
                 tempdb: Arc::new(Ssd::new(SsdConfig::with_capacity(opts.tempdb_bytes))),
-                bpext: Some(Arc::clone(&ext) as Arc<dyn Device>),
+                bpext: Some(Arc::new(ext)),
                 wal_ring: None,
             },
         );
@@ -79,7 +86,8 @@ fn main() {
         let mut start = clock.now();
         let (mut last_mbs, mut last_cpu, mut last_lat) = (0.0, 0.0, 0.0);
         for w in 0..WINDOWS {
-            ext.reset();
+            read_lat.reset();
+            moved.iter().for_each(|c| c.reset());
             let u0 = cpu.utilization(start);
             run_rangescan(
                 &db,
@@ -93,9 +101,10 @@ fn main() {
             );
             let end = start + WINDOW;
             let u1 = cpu.utilization(end);
-            last_mbs = ext.total_bytes() as f64 / WINDOW.as_secs_f64() / 1e6;
+            let bytes: u64 = moved.iter().map(|c| c.get()).sum();
+            last_mbs = bytes as f64 / WINDOW.as_secs_f64() / 1e6;
             last_cpu = windowed_util(u1, end, u0, start) * 100.0;
-            last_lat = ext.reads.mean().as_micros_f64();
+            last_lat = read_lat.mean().as_micros_f64();
             rows.push(vec![
                 format!("{:.1}", (w as f64 + 1.0) * WINDOW.as_secs_f64()),
                 format!("{last_mbs:.0}"),

@@ -11,76 +11,8 @@ pub mod report;
 
 pub use report::Report;
 
-use std::sync::Arc;
-
-use remem::{Cluster, DbOptions, Device, StorageError};
-use remem_sim::metrics::Counter;
-use remem_sim::{Clock, Histogram, SimDuration, SimTime};
-
-/// A [`Device`] wrapper recording per-operation latency and byte counts —
-/// used by the drill-down harnesses (Figs. 11 and 14b/c).
-pub struct InstrumentedDevice {
-    inner: Arc<dyn Device>,
-    pub reads: Histogram,
-    pub writes: Histogram,
-    pub bytes_read: Counter,
-    pub bytes_written: Counter,
-}
-
-impl InstrumentedDevice {
-    pub fn new(inner: Arc<dyn Device>) -> Arc<InstrumentedDevice> {
-        Arc::new(InstrumentedDevice {
-            inner,
-            reads: Histogram::new(),
-            writes: Histogram::new(),
-            bytes_read: Counter::new(),
-            bytes_written: Counter::new(),
-        })
-    }
-
-    pub fn reset(&self) {
-        self.reads.reset();
-        self.writes.reset();
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read.get() + self.bytes_written.get()
-    }
-}
-
-impl Device for InstrumentedDevice {
-    fn read(&self, clock: &mut Clock, offset: u64, buf: &mut [u8]) -> Result<(), StorageError> {
-        let t0 = clock.now();
-        let r = self.inner.read(clock, offset, buf);
-        self.reads.record(clock.now().since(t0));
-        self.bytes_read.add(buf.len() as u64);
-        r
-    }
-
-    fn write(&self, clock: &mut Clock, offset: u64, data: &[u8]) -> Result<(), StorageError> {
-        let t0 = clock.now();
-        let r = self.inner.write(clock, offset, data);
-        self.writes.record(clock.now().since(t0));
-        self.bytes_written.add(data.len() as u64);
-        r
-    }
-
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-
-    fn drain_lost_ranges(&self) -> Vec<(u64, u64)> {
-        // must forward: swallowing these would let a cache above serve
-        // pages whose backing stripes a self-heal replaced with zeros
-        self.inner.drain_lost_ranges()
-    }
-}
+use remem::{Cluster, DbOptions};
+use remem_sim::{Clock, SimDuration, SimTime};
 
 /// Windowed utilization of a cumulative-utilization resource: the busy
 /// fraction within `[t0, t1]` given cumulative utilizations at both

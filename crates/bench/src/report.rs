@@ -9,10 +9,9 @@
 //! of trusting a recorded boolean.
 //!
 //! [`Report::finish`] serializes everything (schema `remem-bench/v1`) to
-//! `results/<name>.json` and `BENCH_<name>.json` at the repo root, stamps a
-//! determinism fingerprint, and exits non-zero if any check failed. Nothing
-//! in the document depends on wall time: two same-seed runs must produce
-//! byte-identical files.
+//! `results/<name>.json`, stamps a determinism fingerprint, and exits
+//! non-zero if any check failed. Nothing in the document depends on wall
+//! time: two same-seed runs must produce byte-identical files.
 
 use std::sync::Arc;
 
@@ -398,9 +397,9 @@ impl Report {
         ])
     }
 
-    /// Write `results/<name>.json` and `BENCH_<name>.json`, print a summary
-    /// line, and exit the process — non-zero if any check failed, so CI and
-    /// shell pipelines see figure breakage without parsing anything.
+    /// Write `results/<name>.json`, print a summary line, and exit the
+    /// process — non-zero if any check failed, so CI and shell pipelines
+    /// see figure breakage without parsing anything.
     pub fn finish(self) -> ! {
         let failed: Vec<&str> = self
             .checks
@@ -410,19 +409,11 @@ impl Report {
             .collect();
         let doc = self.to_json().to_pretty();
         let results = results_dir();
-        let root = bench_root();
-        let mut write_err = None;
-        if let Err(e) = std::fs::create_dir_all(&results) {
-            write_err = Some(format!("create {}: {e}", results.display()));
-        }
-        for path in [
-            results.join(format!("{}.json", self.name)),
-            root.join(format!("BENCH_{}.json", self.name)),
-        ] {
-            if let Err(e) = std::fs::write(&path, &doc) {
-                write_err = Some(format!("write {}: {e}", path.display()));
-            }
-        }
+        let path = results.join(format!("{}.json", self.name));
+        let write_err = std::fs::create_dir_all(&results)
+            .and_then(|()| std::fs::write(&path, &doc))
+            .err()
+            .map(|e| format!("write {}: {e}", path.display()));
         println!();
         match (&write_err, failed.is_empty()) {
             (Some(err), _) => println!("[report] {}: ERROR {err}", self.name),
@@ -545,21 +536,12 @@ fn snapshot_json(s: &MetricsSnapshot) -> Json {
     ])
 }
 
-/// Repo root: `REMEM_BENCH_ROOT` if set (CI), else two levels above this
-/// crate's manifest (`crates/bench` → repo root).
-pub fn bench_root() -> std::path::PathBuf {
-    match std::env::var_os("REMEM_BENCH_ROOT") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
-}
-
-/// Where `<name>.json` lands: `REMEM_RESULTS_DIR` if set, else
-/// `<root>/results`.
+/// Where `<name>.json` lands: `REMEM_RESULTS_DIR` if set, else the
+/// repo's `results/` (two levels above this crate's manifest).
 pub fn results_dir() -> std::path::PathBuf {
     match std::env::var_os("REMEM_RESULTS_DIR") {
         Some(p) => std::path::PathBuf::from(p),
-        None => bench_root().join("results"),
+        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
     }
 }
 

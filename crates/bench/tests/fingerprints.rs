@@ -79,19 +79,6 @@ fn committed_reports_match_pinned_fingerprints() {
     }
 }
 
-#[test]
-fn repo_root_bench_copies_agree_with_results() {
-    let root = repo_root();
-    for (name, pinned) in PINNED {
-        let got = fingerprint_of(&root.join(format!("BENCH_{name}.json")));
-        assert_eq!(
-            &got, pinned,
-            "BENCH_{name}.json disagrees with results/{name}.json — \
-             rerun the binary so both copies refresh together"
-        );
-    }
-}
-
 /// Every committed report is pinned: a new `repro_*` binary must add its
 /// fingerprint above (and a deleted one must remove it).
 #[test]

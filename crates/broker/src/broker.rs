@@ -450,8 +450,6 @@ impl MemoryBroker {
                 available,
             });
         }
-        let mut picked: Vec<MrHandle> = Vec::new();
-        let mut got = 0u64;
         // Donors with availability, in stable id order for determinism.
         // Failed servers keep no pool, but guard anyway in case a recovered
         // server's pool is re-donated before `server_recovered` is called.
@@ -478,25 +476,14 @@ impl MemoryBroker {
                 available: avail_other,
             });
         }
+        // a failed Pack pick has already restored the pool
+        let mut picked: Vec<MrHandle> = Vec::new();
         match self.cfg.placement {
             PlacementPolicy::Pack => {
-                'outer: for donor in donors {
-                    let Some(pool) = st.available.get_mut(&donor) else {
-                        continue 'outer;
-                    };
-                    while got < bytes {
-                        match pool.pop() {
-                            Some(mr) => {
-                                got += mr.len;
-                                picked.push(mr);
-                            }
-                            None => continue 'outer,
-                        }
-                    }
-                    break;
-                }
+                picked = Self::pick_from_pool(&mut st, bytes, &[holder]).unwrap_or_default();
             }
             PlacementPolicy::Spread => {
+                let mut got = 0u64;
                 let mut i = 0;
                 while got < bytes {
                     let mut progressed = false;
@@ -519,6 +506,7 @@ impl MemoryBroker {
                 }
             }
         }
+        let got: u64 = picked.iter().map(|m| m.len).sum();
         if got < bytes {
             // put them back — all-or-nothing grant
             for mr in picked {

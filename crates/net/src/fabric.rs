@@ -1,10 +1,12 @@
 //! The cluster fabric: servers wired by an Infiniband switch, and the three
 //! remote-memory access protocols of Table 5.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use remem_audit::Auditor;
+use remem_sim::resource::Grant;
 use remem_sim::{Clock, MetricsRegistry, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
@@ -13,6 +15,7 @@ use crate::error::NetError;
 use crate::fault::FaultInjector;
 use crate::mr::MrHandle;
 use crate::server::{Server, ServerId};
+use crate::verbs::{Post, ReadSge, WorkRequest, WriteSge};
 use remem_storage::eval::PushdownProgram;
 
 /// The protocol used to reach remote memory (Table 5).
@@ -47,14 +50,11 @@ impl Protocol {
 /// stack that attributes rfile time to network verbs).
 struct FabricMetrics {
     registry: Arc<MetricsRegistry>,
-    read_ops: Arc<remem_sim::Counter>,
-    write_ops: Arc<remem_sim::Counter>,
-    read_lat: Arc<remem_sim::Histogram>,
-    write_lat: Arc<remem_sim::Histogram>,
-    read_bytes: Arc<remem_sim::Counter>,
-    write_bytes: Arc<remem_sim::Counter>,
-    read_errors: Arc<remem_sim::Counter>,
-    write_errors: Arc<remem_sim::Counter>,
+    read: VerbMeters,
+    write: VerbMeters,
+    /// `bytes` are the wire bytes a pushdown actually moved (request
+    /// program + reply).
+    pushdown: VerbMeters,
     mr_registrations: Arc<remem_sim::Counter>,
     mr_bytes: Arc<remem_sim::Counter>,
     connects: Arc<remem_sim::Counter>,
@@ -74,16 +74,11 @@ struct FabricMetrics {
     wal_appends: Arc<remem_sim::Counter>,
     wal_bytes: Arc<remem_sim::Counter>,
     wal_straggler_lag: Arc<remem_sim::Histogram>,
-    pushdown_ops: Arc<remem_sim::Counter>,
-    pushdown_lat: Arc<remem_sim::Histogram>,
     /// Rows that survived the server-side predicates.
     pushdown_rows: Arc<remem_sim::Counter>,
-    /// Wire bytes a pushdown actually moved (request program + reply).
-    pushdown_bytes: Arc<remem_sim::Counter>,
     /// Fabric bytes a full-page fetch of the same span would have moved
     /// minus what pushdown moved — the verb's whole reason to exist.
     pushdown_bytes_saved: Arc<remem_sim::Counter>,
-    pushdown_errors: Arc<remem_sim::Counter>,
     read_span: remem_sim::SpanId,
     write_span: remem_sim::SpanId,
     quorum_write_span: remem_sim::SpanId,
@@ -93,15 +88,31 @@ struct FabricMetrics {
 
 impl FabricMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> FabricMetrics {
+        let meters = |ops: &str, lat: &str, bytes: &str, errors: &str| VerbMeters {
+            ops: registry.counter(ops),
+            lat: registry.histogram(lat),
+            bytes: registry.counter(bytes),
+            errors: registry.counter(errors),
+        };
         FabricMetrics {
-            read_ops: registry.counter("nic.read.ops"),
-            write_ops: registry.counter("nic.write.ops"),
-            read_lat: registry.histogram("nic.read.lat"),
-            write_lat: registry.histogram("nic.write.lat"),
-            read_bytes: registry.counter("fabric.read.bytes"),
-            write_bytes: registry.counter("fabric.write.bytes"),
-            read_errors: registry.counter("fabric.read.errors"),
-            write_errors: registry.counter("fabric.write.errors"),
+            read: meters(
+                "nic.read.ops",
+                "nic.read.lat",
+                "fabric.read.bytes",
+                "fabric.read.errors",
+            ),
+            write: meters(
+                "nic.write.ops",
+                "nic.write.lat",
+                "fabric.write.bytes",
+                "fabric.write.errors",
+            ),
+            pushdown: meters(
+                "nic.pushdown.ops",
+                "nic.pushdown.lat",
+                "fabric.pushdown.bytes",
+                "fabric.pushdown.errors",
+            ),
             mr_registrations: registry.counter("fabric.mr.registrations"),
             mr_bytes: registry.counter("fabric.mr.bytes"),
             connects: registry.counter("fabric.connects"),
@@ -112,12 +123,8 @@ impl FabricMetrics {
             wal_appends: registry.counter("wal.quorum.appends"),
             wal_bytes: registry.counter("wal.quorum.bytes"),
             wal_straggler_lag: registry.histogram("wal.quorum.straggler_lag"),
-            pushdown_ops: registry.counter("nic.pushdown.ops"),
-            pushdown_lat: registry.histogram("nic.pushdown.lat"),
             pushdown_rows: registry.counter("fabric.pushdown.rows"),
-            pushdown_bytes: registry.counter("fabric.pushdown.bytes"),
             pushdown_bytes_saved: registry.counter("fabric.pushdown.bytes_saved"),
-            pushdown_errors: registry.counter("fabric.pushdown.errors"),
             read_span: registry.span("net.read"),
             write_span: registry.span("net.write"),
             quorum_write_span: registry.span("net.quorum_write"),
@@ -126,6 +133,47 @@ impl FabricMetrics {
             registry,
         }
     }
+
+    fn meters(&self, read: bool) -> &VerbMeters {
+        if read {
+            &self.read
+        } else {
+            &self.write
+        }
+    }
+}
+
+/// The four meters a data verb files its outcome under.
+struct VerbMeters {
+    ops: Arc<remem_sim::Counter>,
+    lat: Arc<remem_sim::Histogram>,
+    bytes: Arc<remem_sim::Counter>,
+    errors: Arc<remem_sim::Counter>,
+}
+
+impl VerbMeters {
+    /// File one outcome: `Some((ops, bytes))` and its latency on success,
+    /// one error otherwise (failed verbs never reach the histogram).
+    fn file(&self, ok: Option<(u64, u64)>, lat: SimDuration) {
+        match ok {
+            Some((ops, bytes)) => {
+                self.ops.add(ops);
+                self.bytes.add(bytes);
+                self.lat.record(lat);
+            }
+            None => self.errors.incr(),
+        }
+    }
+}
+
+/// A verb between [`Fabric::open`] and [`Fabric::close`]: the WRs it
+/// posted on the pair ledger, its open span and when it was posted.
+struct InFlight<I> {
+    local: ServerId,
+    peers: I,
+    fm: Option<Arc<FabricMetrics>>,
+    span: Option<remem_sim::SpanToken>,
+    t0: SimTime,
 }
 
 /// Lifetime work-request bookkeeping for one (ordered) server pair: the
@@ -147,6 +195,15 @@ pub struct BatchCompletion {
     pub bytes: u64,
     /// Per-WR outcome; failed WRs move no bytes and are not charged.
     pub result: Result<(), NetError>,
+}
+
+impl BatchCompletion {
+    /// The slot [`Fabric::post`] fills in for one WR.
+    const PENDING: BatchCompletion = BatchCompletion {
+        completed_at: SimTime::ZERO,
+        bytes: 0,
+        result: Ok(()),
+    };
 }
 
 /// Outcome of a replicated fan-out write ([`Fabric::write_quorum`]).
@@ -195,6 +252,7 @@ pub struct PushdownReply {
 }
 
 /// Per-protocol cost parameters resolved from [`NetConfig`].
+#[derive(Clone, Copy)]
 struct ProtocolCosts {
     bandwidth: u64,
     op_overhead: SimDuration,
@@ -203,11 +261,55 @@ struct ProtocolCosts {
     remote_cpu_per_kib: SimDuration,
 }
 
+impl ProtocolCosts {
+    /// Remote CPU spent serving `ops` requests that move `bytes`. TCP
+    /// involves the remote CPU per transfer and RDMA bypasses it: this is
+    /// the entire mechanism behind Fig. 13, and batching doorbells does
+    /// not hide it.
+    fn remote_cpu(&self, ops: u64, bytes: u64) -> SimDuration {
+        self.remote_cpu_per_op * ops
+            + SimDuration::from_nanos(self.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024))
+    }
+
+    /// Reserve one send on the NIC pipes. The sender's pipe serializes
+    /// `sent` bytes behind one op overhead from `at`. Each receiver's pipe
+    /// then serializes its `(bytes, cpu)` share from the sender's start:
+    /// the transfer is pipelined through both pipes, so the busier one
+    /// gates it, not the sum. A receiver's CPU work runs once its pipe
+    /// drains. Returns the sender's grant and, reserved as they are
+    /// iterated, each receiver's end.
+    fn reserve_pipes<S: Deref<Target = Server>>(
+        self,
+        at: SimTime,
+        sender: &Server,
+        sent: u64,
+        receivers: impl IntoIterator<Item = (S, u64, SimDuration)>,
+    ) -> (Grant, impl Iterator<Item = SimTime>) {
+        let g = sender
+            .nic()
+            .reserve(at, sent, self.bandwidth, self.op_overhead);
+        let ends = receivers.into_iter().map(move |(server, bytes, cpu)| {
+            let end = server
+                .nic()
+                .reserve(g.start, bytes, self.bandwidth, self.op_overhead)
+                .end;
+            if cpu.is_zero() {
+                end
+            } else {
+                server.cpu().execute(end, cpu).end
+            }
+        });
+        (g, ends)
+    }
+}
+
 /// The cluster: a set of servers connected by a non-blocking switch.
 ///
-/// All remote-memory data movement goes through [`Fabric::read`] /
-/// [`Fabric::write`], which move real bytes and charge virtual time on both
-/// NICs (and, for TCP, the remote CPU — reproducing Fig. 13).
+/// All remote-memory data movement goes through one doorbell core:
+/// [`Fabric::read`] / [`Fabric::write`] post one WR and
+/// [`Fabric::execute_batch`] a chain. It moves real bytes and charges
+/// virtual time on both NICs (and, for TCP, the remote CPU — reproducing
+/// Fig. 13).
 pub struct Fabric {
     cfg: NetConfig,
     servers: RwLock<Vec<Arc<Server>>>,
@@ -459,7 +561,10 @@ impl Fabric {
         }
     }
 
-    fn validate(
+    /// Check that `local` may touch `[offset, offset + len)` of `handle`:
+    /// both servers live and connected, the MR registered, the span in
+    /// bounds. Returns the remote server and the resolved region.
+    pub(crate) fn validate(
         &self,
         local: ServerId,
         handle: MrHandle,
@@ -489,41 +594,6 @@ impl Fabric {
         Ok((remote, mr))
     }
 
-    /// Charge virtual time for moving `bytes` between `local` and the MR's
-    /// server over `proto`, advancing `clock` past the completion.
-    fn charge(
-        &self,
-        clock: &mut Clock,
-        proto: Protocol,
-        local: ServerId,
-        remote: &Server,
-        bytes: u64,
-    ) -> Result<(), NetError> {
-        let costs = self.costs(proto);
-        let now = clock.now();
-        let local_srv = self.live_server(local)?;
-        // Serialization occupies both NIC pipes; the transfer is pipelined
-        // through them, so the effective start is gated by whichever pipe is
-        // busier, not the sum of both.
-        let g_local = local_srv
-            .nic()
-            .reserve(now, bytes, costs.bandwidth, costs.op_overhead);
-        let g_remote =
-            remote
-                .nic()
-                .reserve(g_local.start, bytes, costs.bandwidth, costs.op_overhead);
-        let mut end = g_remote.end;
-        // TCP involves the remote CPU per transfer; RDMA bypasses it. This is
-        // the entire mechanism behind Fig. 13.
-        let cpu = costs.remote_cpu_per_op
-            + SimDuration::from_nanos(costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024));
-        if !cpu.is_zero() {
-            end = remote.cpu().execute(end, cpu).end;
-        }
-        clock.advance_to(end + costs.fixed_latency);
-        Ok(())
-    }
-
     /// Consult the attached fault schedule (if any) for one verb. An injected
     /// failure still costs the protocol's fixed latency (the time to detect
     /// the lost completion); injected slowness is charged after the normal
@@ -548,6 +618,51 @@ impl Fabric {
         }
     }
 
+    /// Open a verb posted at `t0`: enter its `span` and post one WR per
+    /// peer on the pair ledger.
+    fn open<I>(
+        &self,
+        t0: SimTime,
+        span: fn(&FabricMetrics) -> remem_sim::SpanId,
+        local: ServerId,
+        peers: I,
+    ) -> InFlight<I>
+    where
+        I: IntoIterator<Item = ServerId> + Clone,
+    {
+        let fm = self.metrics.read().clone();
+        let span = fm
+            .as_ref()
+            .map(|fm| fm.registry.span_enter_id(span(fm), t0));
+        for peer in peers.clone() {
+            self.note_posted(local, peer, 1);
+        }
+        InFlight {
+            local,
+            peers,
+            fm,
+            span,
+            t0,
+        }
+    }
+
+    /// Close a verb at `now`: complete its WRs on the ledger (errored ones
+    /// too) and exit its span. Returns the meters to file its outcome
+    /// under, with its post instant, when a registry is attached.
+    fn close<I>(&self, v: InFlight<I>, now: SimTime) -> Option<(Arc<FabricMetrics>, SimTime)>
+    where
+        I: IntoIterator<Item = ServerId>,
+    {
+        for peer in v.peers {
+            self.note_completed(v.local, peer, 1);
+        }
+        let fm = v.fm?;
+        if let Some(span) = v.span {
+            fm.registry.span_exit(span, now);
+        }
+        Some((fm, v.t0))
+    }
+
     /// Read `buf.len()` bytes from `handle` at `offset` into `buf`
     /// (an RDMA read / SMB read depending on `proto`).
     pub fn read(
@@ -559,44 +674,12 @@ impl Fabric {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), NetError> {
-        let m = self.metrics.read().clone();
-        let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.read_span, t0));
-        self.note_posted(local, handle.server, 1);
-        let res = self.read_inner(clock, proto, local, handle, offset, buf);
-        self.note_completed(local, handle.server, 1);
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                fm.read_ops.incr();
-                fm.read_bytes.add(buf.len() as u64);
-                fm.read_lat.record(clock.now().since(t0));
-            } else {
-                fm.read_errors.incr();
-            }
-        }
-        res
-    }
-
-    fn read_inner(
-        &self,
-        clock: &mut Clock,
-        proto: Protocol,
-        local: ServerId,
-        handle: MrHandle,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), NetError> {
-        let (remote, mr) = self.validate(local, handle, offset, buf.len() as u64)?;
-        let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local, &remote, buf.len() as u64)?;
-        clock.advance(extra);
-        mr.read_into(offset, buf);
-        Ok(())
+        let sge = ReadSge {
+            mr: handle,
+            offset,
+            buf,
+        };
+        self.post_one(clock, proto, local, sge)
     }
 
     /// Write `data` into `handle` at `offset`.
@@ -609,44 +692,40 @@ impl Fabric {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NetError> {
-        let m = self.metrics.read().clone();
-        let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.write_span, t0));
-        self.note_posted(local, handle.server, 1);
-        let res = self.write_inner(clock, proto, local, handle, offset, data);
-        self.note_completed(local, handle.server, 1);
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            if res.is_ok() {
-                fm.write_ops.incr();
-                fm.write_bytes.add(data.len() as u64);
-                fm.write_lat.record(clock.now().since(t0));
-            } else {
-                fm.write_errors.incr();
-            }
-        }
-        res
+        let sge = WriteSge {
+            mr: handle,
+            offset,
+            data,
+        };
+        self.post_one(clock, proto, local, sge)
     }
 
-    fn write_inner(
+    /// A scalar verb: `wr` posted alone through the doorbell core. It runs
+    /// under its own `net.read`/`net.write` span and meters, never rings
+    /// `fabric.batch.*`, and its latency is taken when the caller unblocks.
+    fn post_one<P: Post>(
         &self,
         clock: &mut Clock,
         proto: Protocol,
         local: ServerId,
-        handle: MrHandle,
-        offset: u64,
-        data: &[u8],
+        mut wr: P,
     ) -> Result<(), NetError> {
-        let (remote, mr) = self.validate(local, handle, offset, data.len() as u64)?;
-        let extra = self.consult_injector(clock, proto, local, handle.server, offset)?;
-        self.charge(clock, proto, local, &remote, data.len() as u64)?;
-        clock.advance(extra);
-        mr.write_from(offset, data);
-        Ok(())
+        let read = wr.is_read();
+        let span: fn(&FabricMetrics) -> remem_sim::SpanId = if read {
+            |m| m.read_span
+        } else {
+            |m| m.write_span
+        };
+        let peer = wr.target().map(|(server, _)| server);
+        let v = self.open(clock.now(), span, local, peer);
+        let mut out = [BatchCompletion::PENDING];
+        self.post(clock, proto, local, std::slice::from_mut(&mut wr), &mut out);
+        let [c] = out;
+        if let Some((fm, t0)) = self.close(v, clock.now()) {
+            let ok = c.result.is_ok().then_some((1, c.bytes));
+            fm.meters(read).file(ok, clock.now().since(t0));
+        }
+        c.result
     }
 
     /// Run a pushdown program over a page span of `handle` *near the
@@ -673,29 +752,22 @@ impl Fabric {
         local: ServerId,
         req: &PushdownRequest<'_>,
     ) -> Result<PushdownReply, NetError> {
-        let m = self.metrics.read().clone();
-        let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.pushdown_span, t0));
-        self.note_posted(local, req.handle.server, 1);
+        let v = self.open(
+            clock.now(),
+            |m| m.pushdown_span,
+            local,
+            Some(req.handle.server),
+        );
         let res = self.pushdown_inner(clock, proto, local, req);
-        self.note_completed(local, req.handle.server, 1);
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            match &res {
-                Ok(reply) => {
-                    let wire = req.program.encoded_len() as u64 + reply.payload.len() as u64;
-                    fm.pushdown_ops.incr();
-                    fm.pushdown_rows.add(reply.rows_matched);
-                    fm.pushdown_bytes.add(wire);
-                    fm.pushdown_bytes_saved
-                        .add(reply.bytes_scanned.saturating_sub(wire));
-                    fm.pushdown_lat.record(clock.now().since(t0));
-                }
-                Err(_) => fm.pushdown_errors.incr(),
+        if let Some((fm, t0)) = self.close(v, clock.now()) {
+            let wire =
+                |r: &PushdownReply| req.program.encoded_len() as u64 + r.payload.len() as u64;
+            let ok = res.as_ref().ok().map(|r| (1, wire(r)));
+            fm.pushdown.file(ok, clock.now().since(t0));
+            if let Ok(reply) = &res {
+                fm.pushdown_rows.add(reply.rows_matched);
+                fm.pushdown_bytes_saved
+                    .add(reply.bytes_scanned.saturating_sub(wire(reply)));
             }
         }
         res
@@ -723,39 +795,17 @@ impl Fabric {
         let local_srv = self.live_server(local)?;
         let request_bytes = req.program.encoded_len() as u64;
         let reply_bytes = payload.len() as u64;
-        // Request out: a tiny send carrying the program.
-        let g_req_local = local_srv.nic().reserve(
-            clock.now(),
-            request_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        let g_req_remote = remote.nic().reserve(
-            g_req_local.start,
-            request_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        // Eval on the memory server's cores, contending with other tenants.
+        // Request out: a tiny send carrying the program. The eval then runs
+        // on the memory server's cores, contending with other tenants.
         let eval_cpu = self.cfg.pushdown_eval_cost(stats.rows_scanned, req.len);
-        let proto_cpu = costs.remote_cpu_per_op
-            + SimDuration::from_nanos(
-                costs.remote_cpu_per_kib.as_nanos() * reply_bytes.div_ceil(1024),
-            );
-        let server_cpu = eval_cpu + proto_cpu;
-        let cpu_done = remote.cpu().execute(g_req_remote.end, server_cpu).end;
+        let server_cpu = eval_cpu + costs.remote_cpu(1, reply_bytes);
+        let request = [(&*remote, request_bytes, server_cpu)];
+        let (g, ends) = costs.reserve_pipes(clock.now(), &local_srv, request_bytes, request);
+        let cpu_done = ends.fold(g.end, SimTime::max);
         // Reply back: only the compacted payload crosses the fabric.
-        let g_rep_remote =
-            remote
-                .nic()
-                .reserve(cpu_done, reply_bytes, costs.bandwidth, costs.op_overhead);
-        let g_rep_local = local_srv.nic().reserve(
-            g_rep_remote.start,
-            reply_bytes,
-            costs.bandwidth,
-            costs.op_overhead,
-        );
-        clock.advance_to(g_rep_local.end + costs.fixed_latency);
+        let reply = [(&*local_srv, reply_bytes, SimDuration::ZERO)];
+        let (g, ends) = costs.reserve_pipes(cpu_done, &remote, reply_bytes, reply);
+        clock.advance_to(ends.fold(g.end, SimTime::max) + costs.fixed_latency);
         clock.advance(extra);
         Ok(PushdownReply {
             payload,
@@ -796,31 +846,17 @@ impl Fabric {
             !targets.is_empty(),
             "quorum write needs at least one replica"
         );
-        let m = self.metrics.read().clone();
-        let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.quorum_write_span, t0));
-        for (h, _) in targets {
-            self.note_posted(local, h.server, 1);
-        }
+        let peers = targets.iter().map(|(h, _)| h.server);
+        let v = self.open(clock.now(), |m| m.quorum_write_span, local, peers);
         let res = self.write_quorum_inner(clock, proto, local, targets, data);
-        for (h, _) in targets {
-            self.note_completed(local, h.server, 1);
-        }
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
-            match &res {
-                Ok(q) => {
-                    fm.write_ops.add(q.acks as u64);
-                    fm.write_bytes.add(data.len() as u64 * q.acks as u64);
-                    fm.write_lat.record(clock.now().since(t0));
-                    fm.quorum_writes.incr();
-                    fm.quorum_straggler_lag.record(q.straggler_lag);
-                }
-                Err(_) => fm.write_errors.incr(),
+        if let Some((fm, t0)) = self.close(v, clock.now()) {
+            let ok = res.as_ref().ok();
+            let acks = |q: &QuorumWrite| q.acks as u64;
+            let moved = ok.map(|q| (acks(q), data.len() as u64 * acks(q)));
+            fm.write.file(moved, clock.now().since(t0));
+            if let Some(q) = ok {
+                fm.quorum_writes.incr();
+                fm.quorum_straggler_lag.record(q.straggler_lag);
             }
         }
         res
@@ -841,11 +877,11 @@ impl Fabric {
         let bytes = data.len() as u64;
         // resolve replicas: a dead one just can't ack; anything structurally
         // wrong fails the WR as a unit
-        let mut live: Vec<(usize, Arc<Server>, crate::mr::MemoryRegion, u64)> = Vec::new();
+        let mut live: Vec<(Arc<Server>, crate::mr::MemoryRegion, u64)> = Vec::new();
         let mut down: Option<NetError> = None;
-        for (i, (handle, offset)) in targets.iter().enumerate() {
+        for (handle, offset) in targets {
             match self.validate(local, *handle, *offset, bytes) {
-                Ok((remote, mr)) => live.push((i, remote, mr, *offset)),
+                Ok((remote, mr)) => live.push((remote, mr, *offset)),
                 Err(e @ (NetError::ServerDown(_) | NetError::NoSuchMr { .. })) => {
                     down.get_or_insert(e);
                 }
@@ -855,31 +891,24 @@ impl Fabric {
         // fault schedule: a transient window delays that replica's ack (the
         // transport retransmits, bytes still land); a blackout kills it
         let inj = self.injector.read().clone();
-        let mut delayed: Vec<(
-            usize,
-            Arc<Server>,
-            crate::mr::MemoryRegion,
-            u64,
-            SimDuration,
-        )> = Vec::new();
-        for (i, remote, mr, offset) in live {
-            let server = remote.id();
+        let mut acking = Vec::with_capacity(live.len());
+        for (remote, mr, offset) in live {
             let outcome = match &inj {
-                Some(inj) => inj.inject(clock.now(), local, server, offset),
+                Some(inj) => inj.inject(clock.now(), local, remote.id(), offset),
                 None => Ok(SimDuration::ZERO),
             };
             match outcome {
-                Ok(extra) => delayed.push((i, remote, mr, offset, extra)),
+                Ok(extra) => acking.push((remote, mr, offset, extra)),
                 Err(NetError::Transient { .. }) => {
                     // retransmit penalty: the ack arrives, late
-                    delayed.push((i, remote, mr, offset, costs.fixed_latency * 4));
+                    acking.push((remote, mr, offset, costs.fixed_latency * 4));
                 }
                 Err(e) => {
                     down.get_or_insert(e);
                 }
             }
         }
-        if delayed.len() < quorum {
+        if acking.len() < quorum {
             // not enough acks can ever arrive: one detection latency, no
             // bytes move anywhere (the client must re-issue against a
             // refreshed replica view, so partial delivery never counts)
@@ -889,256 +918,158 @@ impl Fabric {
         // one doorbell posts the whole fan-out chain: the local NIC pays a
         // single op overhead and serializes every replica's copy of the
         // payload; each remote pays its own op + serialization
-        let now = clock.now();
-        let fan_bytes = bytes * delayed.len() as u64;
-        let g_local = local_srv
-            .nic()
-            .reserve(now, fan_bytes, costs.bandwidth, costs.op_overhead);
-        let mut completions: Vec<(remem_sim::SimTime, usize)> = Vec::new();
-        for (i, remote, _, _, extra) in &delayed {
-            let g = remote
-                .nic()
-                .reserve(g_local.start, bytes, costs.bandwidth, costs.op_overhead);
-            let mut end = g.end;
-            let cpu = costs.remote_cpu_per_op
-                + SimDuration::from_nanos(
-                    costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024),
-                );
-            if !cpu.is_zero() {
-                end = remote.cpu().execute(end, cpu).end;
-            }
-            completions.push((end + costs.fixed_latency + *extra, *i));
-        }
-        completions.sort_unstable();
-        let ack_at = completions[quorum - 1].0;
-        let slowest = completions.last().map(|(t, _)| *t).unwrap_or(ack_at);
+        let tax = costs.remote_cpu(1, bytes);
+        let replicas = acking.iter().map(|(remote, ..)| (&**remote, bytes, tax));
+        let fan_bytes = bytes * acking.len() as u64;
+        let (_, ends) = costs.reserve_pipes(clock.now(), &local_srv, fan_bytes, replicas);
+        let mut acks: Vec<SimTime> = ends
+            .zip(&acking)
+            .map(|(end, (.., extra))| end + costs.fixed_latency + *extra)
+            .collect();
+        acks.sort_unstable();
+        let ack_at = acks[quorum - 1];
+        let slowest = acks.last().copied().unwrap_or(ack_at);
         clock.advance_to(ack_at);
-        for (_, _, mr, offset, _) in &delayed {
+        for (_, mr, offset, _) in &acking {
             mr.write_from(*offset, data);
         }
         Ok(QuorumWrite {
             replicas: n,
-            acks: delayed.len(),
+            acks: acking.len(),
             quorum,
             completed_at: ack_at,
             straggler_lag: slowest.since(ack_at),
         })
     }
 
-    /// Execute a chain of vectored work requests behind **one doorbell**.
-    ///
-    /// Cost model (Appendix A + "The End of Slow Networks"): posting a
-    /// linked WQE chain costs a single `op_overhead` on the local pipe —
-    /// the doorbell — after which all bytes serialize at line rate. Each
-    /// remote NIC touched pays one `op_overhead` for its half of the
-    /// pipeline plus its share of the bytes; `fixed_latency` is paid once
-    /// for the whole chain, because the caller only spins on the *last*
-    /// completion. This is what makes deep queues approach NIC bandwidth
-    /// while scalar verbs flatline at the per-op ceiling (`repro_qd_sweep`).
-    ///
-    /// Per-WR semantics: a WR that fails validation or is killed by the
-    /// fault schedule completes with an error and its bytes are neither
-    /// charged nor moved; the surviving WRs still execute — completion
-    /// order (and `completed_at` monotonicity) is preserved in post order.
+    /// Execute a chain of vectored work requests behind **one doorbell**
+    /// (cost model and per-WR semantics: [`Fabric::post`]). This is what
+    /// makes deep queues approach NIC bandwidth while scalar verbs flatline
+    /// at the per-op ceiling (`repro_qd_sweep`).
     pub fn execute_batch(
         &self,
         clock: &mut Clock,
         proto: Protocol,
         local: ServerId,
-        wrs: &mut [crate::verbs::WorkRequest<'_>],
+        wrs: &mut [WorkRequest<'_>],
     ) -> Vec<BatchCompletion> {
-        use std::collections::BTreeMap;
         if wrs.is_empty() {
             return Vec::new();
         }
-        let m = self.metrics.read().clone();
-        let t0 = clock.now();
-        let span = m
-            .as_ref()
-            .map(|fm| fm.registry.span_enter_id(fm.batch_span, t0));
-        let costs = self.costs(proto);
-        for wr in wrs.iter() {
-            if let Some((server, _)) = wr.target() {
-                self.note_posted(local, server, 1);
-            }
-        }
-
-        // Validate every SGE up front; a WR fails as a unit (the NIC rejects
-        // the whole WQE at post time).
-        let mut plans: Vec<Result<Vec<crate::mr::MemoryRegion>, NetError>> =
-            wrs.iter().map(|wr| self.plan_wr(local, wr)).collect();
-        // Consult the fault schedule once per surviving WR. Injected
-        // slowness delays the whole chain by the worst window hit (the
-        // chain completes when its slowest member does).
-        let mut extra = SimDuration::ZERO;
-        for (wr, plan) in wrs.iter().zip(plans.iter_mut()) {
-            if plan.is_err() {
-                continue;
-            }
-            if let Some((server, offset)) = wr.target() {
-                match self.consult_injector(clock, proto, local, server, offset) {
-                    Ok(e) => {
-                        if e > extra {
-                            extra = e;
-                        }
-                    }
-                    Err(err) => *plan = Err(err),
-                }
-            }
-        }
-
-        // Aggregate surviving bytes/ops per remote NIC for the charge.
-        let mut per_server: BTreeMap<ServerId, (u64, u64)> = BTreeMap::new();
-        let mut total = 0u64;
-        let mut any_ok = false;
-        for (wr, plan) in wrs.iter().zip(plans.iter()) {
-            if plan.is_ok() {
-                any_ok = true;
-                if let Some((server, _)) = wr.target() {
-                    let e = per_server.entry(server).or_insert((0, 0));
-                    e.0 += wr.bytes();
-                    e.1 += 1;
-                    total += wr.bytes();
-                }
-            }
-        }
-
-        // One doorbell: a single op overhead on the local pipe covers the
-        // whole chain; bytes stream behind it at line rate.
-        let mut doorbell: Option<SimTime> = None;
-        if any_ok {
-            match self.live_server(local) {
-                Ok(local_srv) => {
-                    let now = clock.now();
-                    let g_local =
-                        local_srv
-                            .nic()
-                            .reserve(now, total, costs.bandwidth, costs.op_overhead);
-                    let mut end = g_local.end;
-                    for (&server, &(bytes, ops)) in per_server.iter() {
-                        if let Ok(srv) = self.server(server) {
-                            let g = srv.nic().reserve(
-                                g_local.start,
-                                bytes,
-                                costs.bandwidth,
-                                costs.op_overhead,
-                            );
-                            let mut e = g.end;
-                            // TCP still pays the remote CPU per request —
-                            // batching doorbells does not hide Fig. 13.
-                            let cpu = costs.remote_cpu_per_op * ops
-                                + SimDuration::from_nanos(
-                                    costs.remote_cpu_per_kib.as_nanos() * bytes.div_ceil(1024),
-                                );
-                            if !cpu.is_zero() {
-                                e = srv.cpu().execute(e, cpu).end;
-                            }
-                            if e > end {
-                                end = e;
-                            }
-                        }
-                    }
-                    clock.advance_to(end + costs.fixed_latency);
-                    clock.advance(extra);
-                    doorbell = Some(g_local.start);
-                }
-                Err(e) => {
-                    for plan in plans.iter_mut() {
-                        if plan.is_ok() {
-                            *plan = Err(e.clone());
-                        }
-                    }
-                }
-            }
-        }
-
-        // Move the bytes and stamp per-WR completions: WR i completes once
-        // the chain has serialized the cumulative bytes through i, so
-        // completions are monotone in post order and the last one lands at
-        // the doorbell's end.
-        let final_now = clock.now();
-        let mut cum = 0u64;
-        let mut completions = Vec::with_capacity(wrs.len());
-        for (wr, plan) in wrs.iter_mut().zip(plans) {
-            let bytes = wr.bytes();
-            match plan {
-                Ok(regions) => {
-                    cum += bytes;
-                    let at = match doorbell {
-                        Some(start) => {
-                            let t = start
-                                + costs.op_overhead
-                                + SimDuration::for_transfer(cum, costs.bandwidth)
-                                + costs.fixed_latency;
-                            if t > final_now {
-                                final_now
-                            } else {
-                                t
-                            }
-                        }
-                        None => final_now,
-                    };
-                    wr.execute(&regions);
-                    completions.push(BatchCompletion {
-                        completed_at: at,
-                        bytes,
-                        result: Ok(()),
-                    });
-                }
-                Err(e) => completions.push(BatchCompletion {
-                    completed_at: final_now,
-                    bytes,
-                    result: Err(e),
-                }),
-            }
-        }
-        for wr in wrs.iter() {
-            if let Some((server, _)) = wr.target() {
-                self.note_completed(local, server, 1);
-            }
-        }
-
-        if let Some(fm) = &m {
-            if let Some(span) = span {
-                fm.registry.span_exit(span, clock.now());
-            }
+        let peers: Vec<ServerId> = wrs.iter().filter_map(|wr| Some(wr.target()?.0)).collect();
+        let v = self.open(clock.now(), |m| m.batch_span, local, peers);
+        let mut out: Vec<BatchCompletion> = wrs.iter().map(|_| BatchCompletion::PENDING).collect();
+        self.post(clock, proto, local, wrs, &mut out);
+        if let Some((fm, t0)) = self.close(v, clock.now()) {
             fm.batch_doorbells.incr();
             fm.batch_size
                 .record(SimDuration::from_nanos(wrs.len() as u64));
-            for (wr, c) in wrs.iter().zip(completions.iter()) {
-                let is_read = matches!(wr, crate::verbs::WorkRequest::Read(_));
-                match (&c.result, is_read) {
-                    (Ok(()), true) => {
-                        fm.read_ops.incr();
-                        fm.read_bytes.add(c.bytes);
-                        fm.read_lat.record(c.completed_at.since(t0));
-                    }
-                    (Ok(()), false) => {
-                        fm.write_ops.incr();
-                        fm.write_bytes.add(c.bytes);
-                        fm.write_lat.record(c.completed_at.since(t0));
-                    }
-                    (Err(_), true) => fm.read_errors.incr(),
-                    (Err(_), false) => fm.write_errors.incr(),
-                }
+            for (wr, c) in wrs.iter().zip(&out) {
+                let ok = c.result.is_ok().then_some((1, c.bytes));
+                fm.meters(wr.is_read()).file(ok, c.completed_at.since(t0));
             }
         }
-        completions
+        out
     }
 
-    /// Validate one vectored WR: every SGE must hit a live, connected,
-    /// in-bounds MR. Returns the resolved region per SGE.
-    fn plan_wr(
+    /// The doorbell core every read and write posts through, one WR or a
+    /// chain (Appendix A + "The End of Slow Networks").
+    ///
+    /// Each WR, in post order, has every SGE validated and then the fault
+    /// schedule consulted. A WR that fails either completes with that
+    /// error: it fails as a unit, moves no bytes and is not charged, and
+    /// the rest of the chain still executes. A survivor's bytes move at
+    /// once, since data movement does not depend on virtual time.
+    ///
+    /// Then one doorbell charges the survivors: a single `op_overhead` on
+    /// the local pipe, after which all bytes serialize at line rate. Each
+    /// remote NIC touched pays one `op_overhead` for its half of the
+    /// pipeline plus its share of the bytes, and its remote-CPU tax per WR.
+    /// `fixed_latency` is paid once, because the caller only spins on the
+    /// last completion, and injected slowness delays the chain by the
+    /// worst window hit.
+    ///
+    /// Finally `out` (one slot per WR) is stamped: WR i completes once the
+    /// chain has serialized the cumulative bytes through i, so completions
+    /// are monotone in post order and the last lands at the doorbell's end.
+    fn post<P: Post>(
         &self,
+        clock: &mut Clock,
+        proto: Protocol,
         local: ServerId,
-        wr: &crate::verbs::WorkRequest<'_>,
-    ) -> Result<Vec<crate::mr::MemoryRegion>, NetError> {
-        let mut regions = Vec::with_capacity(wr.sge_count());
-        for (mr, offset, len) in wr.sges() {
-            let (_, region) = self.validate(local, mr, offset, len)?;
-            regions.push(region);
+        wrs: &mut [P],
+        out: &mut [BatchCompletion],
+    ) {
+        let costs = self.costs(proto);
+        let sender = self.live_server(local);
+        let mut extra = SimDuration::ZERO;
+        for (wr, c) in wrs.iter_mut().zip(out.iter_mut()) {
+            c.bytes = wr.bytes();
+            c.result = sender
+                .as_ref()
+                .map_err(NetError::clone)
+                .and_then(|_| wr.resolve(self, local))
+                .and_then(|regions| {
+                    if let Some((server, offset)) = wr.target() {
+                        let slow = self.consult_injector(clock, proto, local, server, offset)?;
+                        extra = extra.max(slow);
+                    }
+                    wr.execute(regions);
+                    Ok(())
+                });
         }
-        Ok(regions)
+
+        let mut doorbell = None;
+        if let (Ok(sender), true) = (&sender, out.iter().any(|c| c.result.is_ok())) {
+            // one receive leg per remote NIC the survivors touch, in server
+            // order, found by scanning rather than collecting so that a
+            // one-WR post allocates nothing
+            let survivors = || {
+                wrs.iter()
+                    .zip(out.iter())
+                    .filter(|(_, c)| c.result.is_ok())
+                    .filter_map(|(wr, c)| Some((wr.target()?.0, c.bytes)))
+            };
+            let next_after = |prev: Option<ServerId>| {
+                survivors()
+                    .map(|(server, _)| server)
+                    .filter(|&server| Some(server) > prev)
+                    .min()
+            };
+            let legs = std::iter::successors(next_after(None), |&s| next_after(Some(s)))
+                .filter_map(|server| {
+                    let (bytes, ops) = survivors()
+                        .filter(|&(s, _)| s == server)
+                        .fold((0, 0), |(b, n), (_, len)| (b + len, n + 1));
+                    Some((
+                        self.server(server).ok()?,
+                        bytes,
+                        costs.remote_cpu(ops, bytes),
+                    ))
+                });
+            let total = survivors().map(|(_, bytes)| bytes).sum();
+            // a receiver starts no earlier than the sender; with one WR it
+            // serializes the same bytes, so the post ends at its receiver's
+            // end, exactly as a scalar verb always did
+            let (g, ends) = costs.reserve_pipes(clock.now(), sender, total, legs);
+            clock.advance_to(ends.fold(g.end, SimTime::max) + costs.fixed_latency);
+            clock.advance(extra);
+            doorbell = Some(g.start);
+        }
+
+        let done = clock.now();
+        let mut cum = 0;
+        for c in out.iter_mut() {
+            c.completed_at = done;
+            if let (Ok(()), Some(start)) = (&c.result, doorbell) {
+                cum += c.bytes;
+                let serialized = start
+                    + costs.op_overhead
+                    + SimDuration::for_transfer(cum, costs.bandwidth)
+                    + costs.fixed_latency;
+                c.completed_at = serialized.min(done);
+            }
+        }
     }
 
     /// Direct peek at remote memory without charging time — used only by
@@ -1823,5 +1754,108 @@ mod tests {
         assert!(fabric.is_connected(b, a));
         fabric.disconnect(b, a);
         assert!(!fabric.is_connected(a, b));
+    }
+
+    /// The scalar verbs are one-WR posts of the doorbell core. On every
+    /// protocol, with no fault, inside a slow window and through a
+    /// blackout, a scalar `read`/`write` and the same access posted as a
+    /// one-WR `execute_batch` end at the same virtual instant, move the
+    /// same bytes and fail with the same error. Only the batch rings
+    /// `fabric.batch.*`.
+    #[test]
+    fn scalar_verbs_match_one_wr_batches() {
+        use crate::verbs::{ReadSge, WorkRequest, WriteSge};
+        let faults: [fn(ServerId) -> Option<FaultInjector>; 3] = [
+            |_| None,
+            |mem| {
+                let extra = SimDuration::from_micros(250);
+                Some(FaultInjector::new(5).slow_window(
+                    mem,
+                    SimTime(30_000),
+                    SimTime(1 << 40),
+                    extra,
+                ))
+            },
+            |mem| Some(FaultInjector::new(5).blackout(mem, SimTime::ZERO, SimTime(40_000))),
+        ];
+        let data: Vec<u8> = (0..65536u32).map(|i| (i % 253) as u8).collect();
+        for proto in Protocol::ALL {
+            for (f, fault) in faults.iter().enumerate() {
+                let run = |batched: bool| {
+                    let (fabric, db, mem, handle) = two_server_fabric();
+                    let registry = MetricsRegistry::shared();
+                    fabric.set_metrics(Some(Arc::clone(&registry)));
+                    fabric.set_fault_injector(fault(mem).map(Arc::new));
+                    // two tenants post at once, so one queues behind the
+                    // other on both NIC pipes (and, for TCP, the remote CPU)
+                    let mut clocks = [Clock::new(), Clock::new()];
+                    let mut trace = Vec::new();
+                    let lens = [8192, 65536, 100, 8192, 0, 65536, 4096, 8192];
+                    for (i, len) in lens.into_iter().enumerate() {
+                        let clock = &mut clocks[i % 2];
+                        // the last access runs off the end of the MR
+                        let offset = if i == 7 {
+                            handle.len - 4096
+                        } else {
+                            i as u64 * 4096
+                        };
+                        let src = &data[..len];
+                        let wrote = if batched {
+                            let sge = WriteSge {
+                                mr: handle,
+                                offset,
+                                data: src,
+                            };
+                            let mut wrs = [WorkRequest::Write(vec![sge])];
+                            fabric
+                                .execute_batch(clock, proto, db, &mut wrs)
+                                .remove(0)
+                                .result
+                        } else {
+                            fabric.write(clock, proto, db, handle, offset, src)
+                        };
+                        let after_write = clock.now();
+                        let mut buf = vec![0u8; len];
+                        let read = if batched {
+                            let sge = ReadSge {
+                                mr: handle,
+                                offset,
+                                buf: &mut buf,
+                            };
+                            let mut wrs = [WorkRequest::Read(vec![sge])];
+                            fabric
+                                .execute_batch(clock, proto, db, &mut wrs)
+                                .remove(0)
+                                .result
+                        } else {
+                            fabric.read(clock, proto, db, handle, offset, &mut buf)
+                        };
+                        trace.push((wrote, after_write, read, clock.now(), buf));
+                    }
+                    let bytes = |name: &str| registry.counter(name).get();
+                    let moved = (bytes("fabric.read.bytes"), bytes("fabric.write.bytes"));
+                    (
+                        trace,
+                        moved,
+                        fabric.wr_counts(db, mem),
+                        bytes("fabric.batch.doorbells"),
+                    )
+                };
+                let (scalar, batch) = (run(false), run(true));
+                let ctx = format!("{proto:?}, fault #{f}");
+                assert_eq!(scalar.0, batch.0, "{ctx}");
+                assert_eq!(scalar.1, batch.1, "{ctx}");
+                assert_eq!(scalar.2, batch.2, "{ctx}");
+                assert_eq!(scalar.3, 0, "{ctx}: the scalar path rang a doorbell");
+                assert_eq!(batch.3, 16, "{ctx}");
+                // every fault case both succeeds and fails somewhere
+                let oks = scalar
+                    .0
+                    .iter()
+                    .filter(|t| t.0.is_ok() && t.2.is_ok())
+                    .count();
+                assert!(oks > 0 && oks < 8, "{ctx}: {oks} ok");
+            }
+        }
     }
 }

@@ -11,6 +11,8 @@
 //! one doorbell for a whole chain of them — how the staging-buffer design of
 //! §4.2 keeps many transfers in flight per scheduler.
 
+use crate::error::NetError;
+use crate::fabric::Fabric;
 use crate::mr::{MemoryRegion, MrHandle};
 use crate::server::ServerId;
 
@@ -42,58 +44,118 @@ pub enum WorkRequest<'a> {
     Write(Vec<WriteSge<'a>>),
 }
 
-impl WorkRequest<'_> {
-    /// Total bytes this WR moves across all its elements.
-    pub fn bytes(&self) -> u64 {
-        match self {
-            WorkRequest::Read(sges) => sges.iter().map(|s| s.buf.len() as u64).sum(),
-            WorkRequest::Write(sges) => sges.iter().map(|s| s.data.len() as u64).sum(),
-        }
-    }
+/// A work request as [`crate::Fabric`]'s doorbell core posts it. A
+/// [`WorkRequest`] is the vectored form; a bare [`ReadSge`] or
+/// [`WriteSge`] is the one-element WR a scalar verb posts, which needs no
+/// scatter/gather list.
+pub(crate) trait Post {
+    /// The regions the WR's elements resolved to at post time.
+    type Regions;
 
-    pub(crate) fn sge_count(&self) -> usize {
-        match self {
-            WorkRequest::Read(sges) => sges.len(),
-            WorkRequest::Write(sges) => sges.len(),
-        }
-    }
+    fn is_read(&self) -> bool;
+
+    /// Total bytes the WR moves across all its elements.
+    fn bytes(&self) -> u64;
 
     /// (server, first offset) of the WR's first element — the address the
     /// fault schedule and op-overhead accounting key on.
-    pub(crate) fn target(&self) -> Option<(ServerId, u64)> {
+    fn target(&self) -> Option<(ServerId, u64)>;
+
+    /// Validate every element against `fabric`: each must hit a live,
+    /// connected, in-bounds MR. A WR fails as a unit (the NIC rejects the
+    /// whole WQE at post time).
+    fn resolve(&self, fabric: &Fabric, local: ServerId) -> Result<Self::Regions, NetError>;
+
+    /// Move the bytes through the resolved regions. Time is charged by the
+    /// doorbell, not here.
+    fn execute(&mut self, regions: Self::Regions);
+}
+
+impl Post for ReadSge<'_> {
+    type Regions = MemoryRegion;
+
+    fn is_read(&self) -> bool {
+        true
+    }
+
+    fn bytes(&self) -> u64 {
+        self.buf.len() as u64
+    }
+
+    fn target(&self) -> Option<(ServerId, u64)> {
+        Some((self.mr.server, self.offset))
+    }
+
+    fn resolve(&self, fabric: &Fabric, local: ServerId) -> Result<MemoryRegion, NetError> {
+        Ok(fabric
+            .validate(local, self.mr, self.offset, self.bytes())?
+            .1)
+    }
+
+    fn execute(&mut self, region: MemoryRegion) {
+        region.read_into(self.offset, self.buf);
+    }
+}
+
+impl Post for WriteSge<'_> {
+    type Regions = MemoryRegion;
+
+    fn is_read(&self) -> bool {
+        false
+    }
+
+    fn bytes(&self) -> u64 {
+        self.data.len() as u64
+    }
+
+    fn target(&self) -> Option<(ServerId, u64)> {
+        Some((self.mr.server, self.offset))
+    }
+
+    fn resolve(&self, fabric: &Fabric, local: ServerId) -> Result<MemoryRegion, NetError> {
+        Ok(fabric
+            .validate(local, self.mr, self.offset, self.bytes())?
+            .1)
+    }
+
+    fn execute(&mut self, region: MemoryRegion) {
+        region.write_from(self.offset, self.data);
+    }
+}
+
+impl Post for WorkRequest<'_> {
+    type Regions = Vec<MemoryRegion>;
+
+    fn is_read(&self) -> bool {
+        matches!(self, WorkRequest::Read(_))
+    }
+
+    fn bytes(&self) -> u64 {
         match self {
-            WorkRequest::Read(sges) => sges.first().map(|s| (s.mr.server, s.offset)),
-            WorkRequest::Write(sges) => sges.first().map(|s| (s.mr.server, s.offset)),
+            WorkRequest::Read(sges) => sges.iter().map(Post::bytes).sum(),
+            WorkRequest::Write(sges) => sges.iter().map(Post::bytes).sum(),
         }
     }
 
-    /// Iterate `(handle, offset, len)` per element, for validation.
-    pub(crate) fn sges(&self) -> Vec<(MrHandle, u64, u64)> {
+    fn target(&self) -> Option<(ServerId, u64)> {
         match self {
-            WorkRequest::Read(sges) => sges
-                .iter()
-                .map(|s| (s.mr, s.offset, s.buf.len() as u64))
-                .collect(),
-            WorkRequest::Write(sges) => sges
-                .iter()
-                .map(|s| (s.mr, s.offset, s.data.len() as u64))
-                .collect(),
+            WorkRequest::Read(sges) => sges.first()?.target(),
+            WorkRequest::Write(sges) => sges.first()?.target(),
         }
     }
 
-    /// Move the bytes through the validated regions (parallel to the SGE
-    /// list). Time has already been charged by the doorbell.
-    pub(crate) fn execute(&mut self, regions: &[MemoryRegion]) {
+    fn resolve(&self, fabric: &Fabric, local: ServerId) -> Result<Vec<MemoryRegion>, NetError> {
         match self {
-            WorkRequest::Read(sges) => {
-                for (sge, region) in sges.iter_mut().zip(regions) {
-                    region.read_into(sge.offset, sge.buf);
-                }
-            }
+            WorkRequest::Read(sges) => sges.iter().map(|s| s.resolve(fabric, local)).collect(),
+            WorkRequest::Write(sges) => sges.iter().map(|s| s.resolve(fabric, local)).collect(),
+        }
+    }
+
+    fn execute(&mut self, regions: Vec<MemoryRegion>) {
+        match self {
+            WorkRequest::Read(sges) => sges.iter_mut().zip(regions).for_each(|(s, r)| s.execute(r)),
             WorkRequest::Write(sges) => {
-                for (sge, region) in sges.iter().zip(regions) {
-                    region.write_from(sge.offset, sge.data);
-                }
+                sges.iter_mut().zip(regions).for_each(|(s, r)| s.execute(r))
             }
         }
     }
@@ -103,8 +165,7 @@ impl WorkRequest<'_> {
 mod tests {
     use super::*;
     use crate::config::NetConfig;
-    use crate::error::NetError;
-    use crate::fabric::{Fabric, Protocol};
+    use crate::fabric::Protocol;
     use remem_sim::Clock;
 
     fn setup() -> (Fabric, ServerId, ServerId, MrHandle) {

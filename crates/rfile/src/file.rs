@@ -14,7 +14,7 @@ use remem_sim::{Clock, FaultOrigin, MetricsRegistry, SimDuration, SimTime};
 use remem_storage::{Device, PartialAgg, PushdownProgram, StorageError, EVAL_PAGE_SIZE};
 
 use crate::config::{AccessMode, RFileConfig, RegistrationMode};
-use crate::staging::StagingBuffers;
+use crate::staging::{StagingBuffers, SCHEDULERS, STAGING_BYTES};
 
 /// Base backoff between self-heal (re-lease) attempts; doubles per failed
 /// attempt up to [`REPAIR_BACKOFF_CAP`] so a dead cluster isn't hammered
@@ -338,7 +338,7 @@ impl RemoteFile {
         } else {
             Self::extents_from(&lease.mrs)
         };
-        let staging = StagingBuffers::new(cfg.schedulers, cfg.staging_bytes, 8192);
+        let staging = StagingBuffers::new(SCHEDULERS, STAGING_BYTES, 8192);
         Ok(RemoteFile {
             fabric,
             broker,
@@ -421,7 +421,7 @@ impl RemoteFile {
                 .map_err(|e| StorageError::Unavailable(e.to_string()))?;
         }
         if self.cfg.registration == RegistrationMode::Staged {
-            let staging_total = self.cfg.staging_bytes * self.cfg.schedulers as u64;
+            let staging_total = STAGING_BYTES * SCHEDULERS as u64;
             clock.advance(self.fabric.config().registration_cost(staging_total));
         }
         Ok(())

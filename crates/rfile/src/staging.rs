@@ -10,6 +10,13 @@
 
 use remem_sim::{Clock, PoolResource, SimTime};
 
+/// Per-scheduler staging buffer size: 1 MiB sustains 128 in-flight 8 K
+/// transfers per scheduler (§4.2).
+pub(crate) const STAGING_BYTES: u64 = 1 << 20;
+
+/// Number of schedulers issuing I/O, each with its own staging buffer.
+pub(crate) const SCHEDULERS: usize = 8;
+
 /// The pool of staging slots across all schedulers.
 ///
 /// Modelled as `schedulers * slots_per_scheduler` servers, each occupied for
