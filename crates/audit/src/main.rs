@@ -9,10 +9,12 @@
 //!
 //! `lint` runs the per-line rules plus all four interprocedural passes
 //! (clock-charge soundness, panic reachability, lock-order, determinism
-//! taint) and exits non-zero if anything fires or the justified-pragma
-//! budget (10) is exceeded. `--budget-ms` additionally fails the run when
-//! the full-workspace analysis itself takes longer than the given wall
-//! time — the CI perf budget keeping the lint cheap enough for every PR.
+//! taint) and exits non-zero if anything fires, the justified-pragma
+//! budget (10) is exceeded, or more panic sites are reachable from the
+//! repro binaries than their budget (197). `--budget-ms` additionally
+//! fails the run when the full-workspace analysis itself takes longer than
+//! the given wall time — the CI perf budget keeping the lint cheap enough
+//! for every PR.
 //!
 //! `graph` dumps the resolved call graph (DOT for eyeballs, JSON for
 //! tooling); `paths` answers "how does the kernel reach this sink?" with
@@ -27,6 +29,10 @@ use remem_audit::passes::{bin_roots, kernel_roots, Waivers};
 /// Hard ceiling on `// audit: allow` pragmas across the tree: the escape
 /// hatch must stay an exception, not a lifestyle.
 const PRAGMA_BUDGET: usize = 10;
+
+/// Ceiling on panic sites reachable from the repro binaries (`paths --to
+/// panic --from bins`): the count may shrink but never grow.
+const BIN_PANIC_BUDGET: usize = 197;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -118,24 +124,28 @@ fn cmd_lint(opts: &Opts) -> ExitCode {
             opts.budget_ms.unwrap_or(0)
         );
     }
-    if a.advisory.bin_panic_sites > 0 {
+    let panics_blown = a.advisory.bin_panic_sites > BIN_PANIC_BUDGET;
+    if panics_blown {
         println!(
-            "remem-audit: advisory: {} panic sites reachable from repro binaries \
-             (inspect with `paths --to panic --from bins`)",
-            a.advisory.bin_panic_sites
+            "remem-audit: bin panic budget exceeded: {} panic sites reachable from repro \
+             binaries > {} allowed (inspect with `paths --to panic --from bins`)",
+            a.advisory.bin_panic_sites, BIN_PANIC_BUDGET
         );
     }
     println!(
-        "remem-audit: {} files, {} violations, {}/{} pragmas, lock graph {} nodes / {} edges, {} ms",
+        "remem-audit: {} files, {} violations, {}/{} pragmas, {}/{} bin panic sites, \
+         lock graph {} nodes / {} edges, {} ms",
         a.stats.files,
         a.violations.len(),
         a.stats.pragmas_used,
         PRAGMA_BUDGET,
+        a.advisory.bin_panic_sites,
+        BIN_PANIC_BUDGET,
         a.advisory.lock_nodes,
         a.advisory.lock_edges,
         elapsed_ms
     );
-    if a.violations.is_empty() && !budget_blown && !time_blown {
+    if a.violations.is_empty() && !budget_blown && !time_blown && !panics_blown {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

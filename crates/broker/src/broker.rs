@@ -1,6 +1,6 @@
 //! The broker front-end: lease grant / renew / release / revoke.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -17,6 +17,9 @@ use crate::meta::{MetaState, MetaStore};
 /// force-finalizes the oldest notices early and counts them in
 /// `broker.revocations_expired`.
 const MAX_PENDING_REVOCATIONS: usize = 64;
+
+/// Unleased MRs per donor server (`MetaState::available`).
+type Pools = BTreeMap<ServerId, Vec<MrHandle>>;
 
 /// One slot's re-replication work order from [`MemoryBroker::re_replicate`].
 ///
@@ -82,9 +85,10 @@ pub enum BrokerError {
     /// The lease does not exist or is no longer active.
     LeaseNotActive(LeaseId, LeaseState),
     UnknownLease(LeaseId),
-    /// Broker metadata lost an entry mid-operation. Indicates a broker bug,
-    /// surfaced as a typed error instead of a panic so a simulated cluster
-    /// keeps running (and the auditor can flag the drift).
+    /// Broker metadata does not fit the call: a repair asked of the wrong
+    /// kind of lease, or a replicated lease without its replica set.
+    /// Surfaced as a typed error instead of a panic so a simulated cluster
+    /// keeps running.
     Internal(&'static str),
 }
 
@@ -184,20 +188,14 @@ pub struct ComputeAccount {
 /// A broker front-end over shared [`MetaStore`] state.
 ///
 /// Cheap to construct: electing a replacement broker after a crash is
-/// `MemoryBroker::new(cfg, store.clone())`.
+/// `MemoryBroker::new(cfg, store.clone())`. Every piece of broker state
+/// (pools, leases, WAL-ring marks, compute ledger) lives in the store, so
+/// the replacement loses nothing; the front-end only holds its observers.
 pub struct MemoryBroker {
     cfg: BrokerConfig,
     store: MetaStore,
     auditor: Mutex<Option<Arc<Auditor>>>,
     metrics: Mutex<Option<Arc<BrokerMetrics>>>,
-    // ordered map: capacity sweeps and reports iterate it, and hash order
-    // would leak into replay
-    compute: Mutex<std::collections::BTreeMap<ServerId, ComputeAccount>>,
-    /// Leases pinned as remote-WAL ring backing: the broker reports their
-    /// physical footprint separately (`broker.wal.ring_bytes`) because ring
-    /// space is durability-critical — pressure shedding must prefer cache
-    /// leases over it. Ordered set: reports iterate it.
-    wal_rings: Mutex<std::collections::BTreeSet<LeaseId>>,
 }
 
 impl MemoryBroker {
@@ -207,8 +205,6 @@ impl MemoryBroker {
             store,
             auditor: Mutex::new(None),
             metrics: Mutex::new(None),
-            compute: Mutex::new(std::collections::BTreeMap::new()),
-            wal_rings: Mutex::new(std::collections::BTreeSet::new()),
         }
     }
 
@@ -224,7 +220,13 @@ impl MemoryBroker {
     /// Usage already accrued is kept — capping below it shuts the server's
     /// eval engine to new tenant work immediately.
     pub fn set_compute_budget(&self, server: ServerId, budget: Option<SimDuration>) {
-        self.compute.lock().entry(server).or_default().budget = budget;
+        self.store
+            .state
+            .lock()
+            .compute
+            .entry(server)
+            .or_default()
+            .budget = budget;
     }
 
     /// May a tenant push compute to `server` right now? `false` once the
@@ -232,12 +234,9 @@ impl MemoryBroker {
     /// one-sided reads (the memory lease itself stays valid — only the
     /// *CPU* favor is withdrawn).
     pub fn pushdown_admit(&self, server: ServerId) -> bool {
-        let mut compute = self.compute.lock();
-        let acct = compute.entry(server).or_default();
-        let ok = match acct.budget {
-            None => true,
-            Some(budget) => acct.spent < budget,
-        };
+        let mut st = self.store.state.lock();
+        let acct = st.compute.entry(server).or_default();
+        let ok = acct.budget.is_none_or(|budget| acct.spent < budget);
         if !ok {
             acct.denied += 1;
             if let Some(m) = self.metrics.lock().as_ref() {
@@ -250,8 +249,8 @@ impl MemoryBroker {
     /// Debit one pushdown eval against `server`'s compute account (the
     /// `server_cpu` the fabric charged plus the rows it visited).
     pub fn note_pushdown(&self, server: ServerId, cpu: SimDuration, rows: u64) {
-        let mut compute = self.compute.lock();
-        let acct = compute.entry(server).or_default();
+        let mut st = self.store.state.lock();
+        let acct = st.compute.entry(server).or_default();
         acct.spent += cpu;
         acct.rows += rows;
         acct.ops += 1;
@@ -264,11 +263,8 @@ impl MemoryBroker {
 
     /// Snapshot one donor's compute account.
     pub fn compute_account(&self, server: ServerId) -> ComputeAccount {
-        self.compute
-            .lock()
-            .get(&server)
-            .cloned()
-            .unwrap_or_default()
+        let st = self.store.state.lock();
+        st.compute.get(&server).cloned().unwrap_or_default()
     }
 
     /// Attach (or detach) a runtime invariant auditor. When attached, every
@@ -305,7 +301,6 @@ impl MemoryBroker {
         let guard = self.auditor.lock();
         let Some(a) = guard.as_ref() else { return };
         let when = at.unwrap_or(SimTime::ZERO);
-        let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
         let leased: u64 = st
             .leases
             .values()
@@ -319,7 +314,7 @@ impl MemoryBroker {
             "mr-conservation",
             ("donated", st.donated_bytes as i128),
             &[
-                ("available", available as i128),
+                ("available", pooled(&st.available) as i128),
                 ("leased", leased as i128),
                 ("lost", lost as i128),
                 ("wiped", st.wiped_bytes as i128),
@@ -327,28 +322,24 @@ impl MemoryBroker {
         );
         // auxiliary per-lease maps may only reference Active leases;
         // anything else is a leak from a missed terminal transition
-        let mut stale: Vec<String> = Vec::new();
-        let active = |id: &LeaseId| matches!(st.leases.get(id), Some((_, LeaseState::Active)));
-        for id in &st.auto_renewed {
-            if !active(id) {
-                stale.push(format!("auto_renewed holds non-active {id:?}"));
-            }
-        }
-        for id in st.lost_mrs.keys() {
-            if !active(id) {
-                stale.push(format!("lost_mrs holds non-active {id:?}"));
-            }
-        }
-        for id in st.pending_revocations.keys() {
-            if !active(id) {
-                stale.push(format!("pending_revocations holds non-active {id:?}"));
-            }
-        }
-        for id in st.replicas.keys() {
-            if !active(id) {
-                stale.push(format!("replicas holds non-active {id:?}"));
-            }
-        }
+        let aux: [(&str, Vec<LeaseId>); 5] = [
+            ("auto_renewed", st.auto_renewed.iter().copied().collect()),
+            ("lost_mrs", st.lost_mrs.keys().copied().collect()),
+            (
+                "pending_revocations",
+                st.pending_revocations.keys().copied().collect(),
+            ),
+            ("replicas", st.replicas.keys().copied().collect()),
+            ("wal_rings", st.wal_rings.iter().copied().collect()),
+        ];
+        let stale: Vec<String> = aux
+            .iter()
+            .flat_map(|(map, ids)| {
+                ids.iter()
+                    .filter(|id| !matches!(st.leases.get(id), Some((_, LeaseState::Active))))
+                    .map(move |id| format!("{map} holds non-active {id:?}"))
+            })
+            .collect();
         a.check_that(
             when,
             "broker",
@@ -423,6 +414,80 @@ impl MemoryBroker {
         }
     }
 
+    /// The one way a lease leaves Active. Sets the terminal state `to` and
+    /// routes every MR in lease order: those on `dying` (a crashed or
+    /// pressured donor) are wiped — and deregistered from its NIC when
+    /// `fabric` is given, i.e. under memory pressure — and the rest go back
+    /// to their donors' pools. Then the lease's auxiliary state is dropped.
+    /// Returns the wiped bytes; a lease that is not Active is left alone.
+    fn end_lease(
+        &self,
+        st: &mut MetaState,
+        id: LeaseId,
+        to: LeaseState,
+        dying: Option<ServerId>,
+        fabric: Option<&Fabric>,
+    ) -> u64 {
+        let Some((lease, state @ LeaseState::Active)) = st.leases.get_mut(&id) else {
+            return 0;
+        };
+        *state = to;
+        let (dead, back): (Vec<MrHandle>, Vec<MrHandle>) =
+            lease.mrs.iter().partition(|m| Some(m.server) == dying);
+        restore(&mut st.available, back);
+        let wiped: u64 = dead.iter().map(|m| m.len).sum();
+        st.wiped_bytes += wiped;
+        if let Some(fabric) = fabric {
+            for mr in dead {
+                let _ = fabric.deregister_mr(mr);
+            }
+        }
+        let was_ring = st.lease_terminal(id);
+        self.meter(st, |m| {
+            match to {
+                LeaseState::Expired => m.expired.incr(),
+                LeaseState::Released => m.released.incr(),
+                LeaseState::Revoked => m.revoked.incr(),
+                LeaseState::Active => {}
+            }
+            if was_ring {
+                m.wal_ring_bytes.set(ring_bytes(st) as f64);
+            }
+        });
+        wiped
+    }
+
+    /// Record a freshly placed lease as Active (with its replica metadata,
+    /// if any) and meter the grant.
+    fn grant(
+        &self,
+        st: &mut MetaState,
+        clock: &Clock,
+        holder: ServerId,
+        mrs: Vec<MrHandle>,
+        replicas: Option<ReplicaSet>,
+    ) -> Lease {
+        let id = LeaseId(st.next_lease);
+        st.next_lease += 1;
+        let lease = Lease {
+            id,
+            holder,
+            mrs,
+            expires_at: clock.now() + self.cfg.lease_duration,
+        };
+        let granted = lease.bytes();
+        st.leases.insert(id, (lease.clone(), LeaseState::Active));
+        if let Some(rs) = replicas {
+            st.replicas.insert(id, rs);
+        }
+        self.meter(st, |m| {
+            m.granted.incr();
+            m.leased_bytes.add(granted);
+        });
+        self.verify(st, Some(clock.now()));
+        lease
+    }
+
     /// Called by a proxy: make MRs available for leasing.
     pub(crate) fn offer(&self, server: ServerId, mrs: Vec<MrHandle>) {
         let mut st = self.store.state.lock();
@@ -442,25 +507,19 @@ impl MemoryBroker {
         bytes: u64,
     ) -> Result<Lease, BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
-        if available < bytes {
-            return Err(BrokerError::InsufficientMemory {
-                requested: bytes,
-                available,
-            });
+        let st = &mut *self.store.state.lock();
+        if pooled(&st.available) < bytes {
+            return Err(insufficient(&st.available, bytes));
         }
         // Donors with availability, in stable id order for determinism.
         // Failed servers keep no pool, but guard anyway in case a recovered
         // server's pool is re-donated before `server_recovered` is called.
-        let failed = st.failed_servers.clone();
-        let mut donors: Vec<ServerId> = st
+        let donors: Vec<ServerId> = st
             .available
             .iter()
-            .filter(|(s, v)| **s != holder && !v.is_empty() && !failed.contains(s))
+            .filter(|(s, v)| **s != holder && !v.is_empty() && !st.failed_servers.contains(s))
             .map(|(s, _)| *s)
             .collect();
-        donors.sort_unstable();
         // Never lease a server its own memory; if only the holder has spare
         // memory the request fails (it should just use it locally).
         if donors.is_empty() {
@@ -480,7 +539,8 @@ impl MemoryBroker {
         let mut picked: Vec<MrHandle> = Vec::new();
         match self.cfg.placement {
             PlacementPolicy::Pack => {
-                picked = Self::pick_from_pool(&mut st, bytes, &[holder]).unwrap_or_default();
+                picked = pick_from_pool(&mut st.available, &st.failed_servers, bytes, &[holder])
+                    .unwrap_or_default();
             }
             PlacementPolicy::Spread => {
                 let mut got = 0u64;
@@ -490,10 +550,7 @@ impl MemoryBroker {
                     for _ in 0..donors.len() {
                         let donor = donors[i % donors.len()];
                         i += 1;
-                        let Some(pool) = st.available.get_mut(&donor) else {
-                            continue;
-                        };
-                        if let Some(mr) = pool.pop() {
+                        if let Some(mr) = st.available.get_mut(&donor).and_then(|p| p.pop()) {
                             got += mr.len;
                             picked.push(mr);
                             progressed = true;
@@ -506,33 +563,12 @@ impl MemoryBroker {
                 }
             }
         }
-        let got: u64 = picked.iter().map(|m| m.len).sum();
-        if got < bytes {
+        if picked.iter().map(|m| m.len).sum::<u64>() < bytes {
             // put them back — all-or-nothing grant
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
-            return Err(BrokerError::InsufficientMemory {
-                requested: bytes,
-                available,
-            });
+            restore(&mut st.available, picked);
+            return Err(insufficient(&st.available, bytes));
         }
-        let id = LeaseId(st.next_lease);
-        st.next_lease += 1;
-        let lease = Lease {
-            id,
-            holder,
-            mrs: picked,
-            expires_at: clock.now() + self.cfg.lease_duration,
-        };
-        st.leases.insert(id, (lease.clone(), LeaseState::Active));
-        self.meter(&st, |m| {
-            m.granted.incr();
-            m.leased_bytes.add(got);
-        });
-        self.verify(&st, Some(clock.now()));
-        Ok(lease)
+        Ok(self.grant(st, clock, holder, picked, None))
     }
 
     /// Grant a k-way replicated lease of at least `bytes` *logical*
@@ -553,18 +589,15 @@ impl MemoryBroker {
     ) -> Result<Lease, BrokerError> {
         assert!(k >= 2, "a replicated lease needs k >= 2; use request_lease");
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
+        let st = &mut *self.store.state.lock();
         let mut groups: Vec<Vec<MrHandle>> = Vec::new();
         let mut logical = 0u64;
-        let mut short = false;
         while logical < bytes {
-            let ranked = Self::ranked_donors(&st, &[holder]);
+            let ranked = ranked_donors(&st.available, &st.failed_servers, &[holder]);
             if ranked.len() < k {
-                short = true;
                 break;
             }
             let Some(primary) = st.available.get_mut(&ranked[0]).and_then(|p| p.pop()) else {
-                short = true;
                 break;
             };
             let len = primary.len;
@@ -573,54 +606,29 @@ impl MemoryBroker {
                 if group.len() == k {
                     break;
                 }
-                if let Some(mr) = Self::pop_mr_of_len(&mut st, *donor, len) {
+                if let Some(mr) = pop_mr_of_len(&mut st.available, *donor, len) {
                     group.push(mr);
                 }
             }
             let full = group.len() == k;
             groups.push(group);
             if !full {
-                short = true;
                 break;
             }
             logical += len;
         }
-        if short {
-            for mr in groups.into_iter().flatten() {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
-            return Err(BrokerError::InsufficientMemory {
-                requested: bytes.saturating_mul(k as u64),
-                available,
-            });
+        if logical < bytes {
+            restore(&mut st.available, groups.into_iter().flatten());
+            return Err(insufficient(&st.available, bytes.saturating_mul(k as u64)));
         }
-        let id = LeaseId(st.next_lease);
-        st.next_lease += 1;
         let mrs: Vec<MrHandle> = groups.iter().flatten().copied().collect();
-        let lease = Lease {
-            id,
-            holder,
-            mrs,
-            expires_at: clock.now() + self.cfg.lease_duration,
+        let rs = ReplicaSet {
+            k,
+            epoch: 0,
+            groups,
+            lost_slots: BTreeMap::new(),
         };
-        let granted = lease.bytes();
-        st.leases.insert(id, (lease.clone(), LeaseState::Active));
-        st.replicas.insert(
-            id,
-            ReplicaSet {
-                k,
-                epoch: 0,
-                groups,
-                lost_slots: BTreeMap::new(),
-            },
-        );
-        self.meter(&st, |m| {
-            m.granted.incr();
-            m.leased_bytes.add(granted);
-        });
-        self.verify(&st, Some(clock.now()));
-        Ok(lease)
+        Ok(self.grant(st, clock, holder, mrs, Some(rs)))
     }
 
     /// The current fencing epoch and group membership of a replicated
@@ -633,11 +641,6 @@ impl MemoryBroker {
             .replicas
             .get(&id)
             .map(|rs| (rs.epoch, rs.groups.clone()))
-    }
-
-    /// The current fencing epoch of a replicated lease.
-    pub fn replica_epoch(&self, id: LeaseId) -> Option<u64> {
-        self.store.state.lock().replicas.get(&id).map(|rs| rs.epoch)
     }
 
     /// Bytes of physical memory a replicated lease is missing to get every
@@ -666,20 +669,14 @@ impl MemoryBroker {
         id: LeaseId,
     ) -> Result<Vec<ReplicaRepair>, BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let holder = lease.holder;
-        let Some(rs) = st.replicas.get(&id).cloned() else {
+        let st = &mut *self.store.state.lock();
+        let lease = active(&mut st.leases, id)?;
+        let Some(rs) = st.replicas.get_mut(&id) else {
             return Err(BrokerError::Internal(
                 "re_replicate called on an unreplicated lease",
             ));
         };
         let mut repairs: Vec<ReplicaRepair> = Vec::new();
-        let mut picked_all: Vec<MrHandle> = Vec::new();
-        let mut new_groups = rs.groups.clone();
         for (slot, group) in rs.groups.iter().enumerate() {
             if group.len() >= rs.k {
                 continue;
@@ -693,37 +690,21 @@ impl MemoryBroker {
                     None => continue,
                 },
             };
-            let mut exclude: Vec<ServerId> = vec![holder];
+            let mut exclude: Vec<ServerId> = vec![lease.holder];
             exclude.extend(group.iter().map(|m| m.server));
             let mut added: Vec<MrHandle> = Vec::new();
             for _ in group.len()..rs.k {
-                let ranked = Self::ranked_donors(&st, &exclude);
-                let mut got = None;
-                for donor in ranked {
-                    if let Some(mr) = Self::pop_mr_of_len(&mut st, donor, len) {
-                        got = Some(mr);
-                        break;
-                    }
-                }
-                match got {
-                    Some(mr) => {
-                        exclude.push(mr.server);
-                        added.push(mr);
-                    }
-                    None => {
-                        for mr in added.into_iter().chain(picked_all) {
-                            st.available.entry(mr.server).or_default().push(mr);
-                        }
-                        let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
-                        return Err(BrokerError::InsufficientMemory {
-                            requested: rs.deficit_bytes(),
-                            available,
-                        });
-                    }
-                }
+                let got = ranked_donors(&st.available, &st.failed_servers, &exclude)
+                    .into_iter()
+                    .find_map(|donor| pop_mr_of_len(&mut st.available, donor, len));
+                let Some(mr) = got else {
+                    let picked = repairs.into_iter().flat_map(|r| r.added);
+                    restore(&mut st.available, added.into_iter().chain(picked));
+                    return Err(insufficient(&st.available, rs.deficit_bytes()));
+                };
+                exclude.push(mr.server);
+                added.push(mr);
             }
-            picked_all.extend(added.iter().copied());
-            new_groups[slot].extend(added.iter().copied());
             repairs.push(ReplicaRepair {
                 slot,
                 source,
@@ -736,137 +717,59 @@ impl MemoryBroker {
         // commit: groups grow, lost slots are healed (their dead handles'
         // bytes leave the `lost` bucket for `wiped`), epoch fences stale
         // extent maps
-        let healed: Vec<usize> = repairs
-            .iter()
-            .filter(|r| r.source.is_none())
-            .map(|r| r.slot)
-            .collect();
-        let Some(rs_mut) = st.replicas.get_mut(&id) else {
-            return Err(BrokerError::Internal("replica set vanished mid-repair"));
-        };
-        rs_mut.groups = new_groups;
-        rs_mut.epoch += 1;
-        let mut dead_handles: Vec<MrHandle> = Vec::new();
-        for slot in healed {
-            if let Some(dead) = rs_mut.lost_slots.remove(&slot) {
-                dead_handles.push(dead);
+        for r in &repairs {
+            rs.groups[r.slot].extend(r.added.iter().copied());
+            lease.mrs.extend(r.added.iter().copied());
+            if r.source.is_some() {
+                continue;
             }
-        }
-        for dead in dead_handles {
-            let mut unpark = 0u64;
+            let Some(dead) = rs.lost_slots.remove(&r.slot) else {
+                continue;
+            };
             if let Some(list) = st.lost_mrs.get_mut(&id) {
                 if let Some(pos) = list
                     .iter()
                     .position(|m| m.server == dead.server && m.mr == dead.mr)
                 {
-                    unpark = list.remove(pos).len;
+                    st.wiped_bytes += list.remove(pos).len;
                 }
                 if list.is_empty() {
                     st.lost_mrs.remove(&id);
                 }
             }
-            st.wiped_bytes += unpark;
         }
-        let Some((lease, _)) = st.leases.get_mut(&id) else {
-            return Err(BrokerError::Internal("lease vanished during re_replicate"));
-        };
-        lease.mrs.extend(picked_all.iter().copied());
-        self.meter(&st, |m| m.repaired.incr());
-        self.verify(&st, Some(clock.now()));
+        rs.epoch += 1;
+        self.meter(st, |m| m.repaired.incr());
+        self.verify(st, Some(clock.now()));
         Ok(repairs)
-    }
-
-    /// Donors with spare capacity ranked most-free-bytes first (stable id
-    /// tie-break), excluding `exclude` and failed servers.
-    fn ranked_donors(st: &MetaState, exclude: &[ServerId]) -> Vec<ServerId> {
-        let mut donors: Vec<(u64, ServerId)> = st
-            .available
-            .iter()
-            .filter(|(s, v)| {
-                !exclude.contains(s) && !v.is_empty() && !st.failed_servers.contains(s)
-            })
-            .map(|(s, v)| (v.iter().map(|m| m.len).sum::<u64>(), *s))
-            .collect();
-        donors.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        donors.into_iter().map(|(_, s)| s).collect()
-    }
-
-    /// Pop one MR of exactly `len` bytes from `donor`'s pool, preferring
-    /// the most recently donated (pool tail) for stable replay order.
-    fn pop_mr_of_len(st: &mut MetaState, donor: ServerId, len: u64) -> Option<MrHandle> {
-        let pool = st.available.get_mut(&donor)?;
-        let idx = pool.iter().rposition(|m| m.len == len)?;
-        Some(pool.remove(idx))
     }
 
     /// Renew an active lease for another full duration from `clock.now()`.
     pub fn renew(&self, clock: &mut Clock, id: LeaseId) -> Result<SimTime, BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        if clock.now() >= lease.expires_at {
-            // too late: renewal after expiry fails and the MRs go back
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Expired;
-            for mr in mrs {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lease_terminal(id);
-            self.meter(&st, |m| m.expired.incr());
+        let lease = active(&mut st.leases, id)?;
+        if clock.now() < lease.expires_at {
+            lease.expires_at = clock.now() + self.cfg.lease_duration;
+            let expires = lease.expires_at;
+            self.meter(&st, |m| m.renewed.incr());
             self.verify(&st, Some(clock.now()));
-            return Err(BrokerError::LeaseNotActive(id, LeaseState::Expired));
+            return Ok(expires);
         }
-        lease.expires_at = clock.now() + self.cfg.lease_duration;
-        let expires = lease.expires_at;
-        self.meter(&st, |m| m.renewed.incr());
+        // too late: renewal after expiry fails and the MRs go back
+        self.end_lease(&mut st, id, LeaseState::Expired, None, None);
         self.verify(&st, Some(clock.now()));
-        Ok(expires)
+        Err(BrokerError::LeaseNotActive(id, LeaseState::Expired))
     }
 
     /// Voluntarily release a lease (Delete in Table 2).
     pub fn release(&self, clock: &mut Clock, id: LeaseId) -> Result<(), BrokerError> {
         clock.advance(self.cfg.rpc_time);
         let mut st = self.store.state.lock();
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let mrs = lease.mrs.clone();
-        *state = LeaseState::Released;
-        for mr in mrs {
-            st.available.entry(mr.server).or_default().push(mr);
-        }
-        st.lease_terminal(id);
-        let was_ring = self.wal_rings.lock().remove(&id);
-        self.meter(&st, |m| {
-            m.released.incr();
-            if was_ring {
-                let bytes = Self::ring_bytes(&st, &self.wal_rings.lock());
-                m.wal_ring_bytes.set(bytes as f64);
-            }
-        });
+        active(&mut st.leases, id)?;
+        self.end_lease(&mut st, id, LeaseState::Released, None, None);
         self.verify(&st, Some(clock.now()));
         Ok(())
-    }
-
-    /// Physical bytes (every replica copy) pinned under Active leases in
-    /// `rings`.
-    fn ring_bytes(st: &MetaState, rings: &std::collections::BTreeSet<LeaseId>) -> u64 {
-        rings
-            .iter()
-            .filter_map(|id| st.leases.get(id))
-            .filter(|(_, s)| *s == LeaseState::Active)
-            .map(|(l, _)| l.bytes())
-            .sum()
     }
 
     /// Mark an Active lease as the backing of a remote WAL ring.
@@ -876,40 +779,18 @@ impl MemoryBroker {
     /// accounts it separately from cache leases (`broker.wal.rings` /
     /// `broker.wal.ring_bytes`); operators watching donor pressure can see
     /// how much of the pool is not safely sheddable. Unmarked automatically
-    /// when the lease is released.
+    /// when the lease ends, however it ends.
     pub fn mark_wal_ring(&self, id: LeaseId) -> Result<(), BrokerError> {
-        let st = self.store.state.lock();
-        match st.leases.get(&id) {
-            Some((_, LeaseState::Active)) => {}
-            Some((_, s)) => return Err(BrokerError::LeaseNotActive(id, *s)),
-            None => return Err(BrokerError::UnknownLease(id)),
-        }
-        let fresh = self.wal_rings.lock().insert(id);
+        let mut st = self.store.state.lock();
+        active(&mut st.leases, id)?;
+        let fresh = st.wal_rings.insert(id);
         self.meter(&st, |m| {
             if fresh {
                 m.wal_rings.incr();
             }
-            let bytes = Self::ring_bytes(&st, &self.wal_rings.lock());
-            m.wal_ring_bytes.set(bytes as f64);
+            m.wal_ring_bytes.set(ring_bytes(&st) as f64);
         });
         Ok(())
-    }
-
-    /// Physical bytes (all replica copies) currently pinned under marked,
-    /// still-Active WAL ring leases.
-    pub fn wal_ring_bytes(&self) -> u64 {
-        let st = self.store.state.lock();
-        Self::ring_bytes(&st, &self.wal_rings.lock())
-    }
-
-    /// Marked WAL ring leases that are still Active.
-    pub fn wal_ring_count(&self) -> usize {
-        let st = self.store.state.lock();
-        self.wal_rings
-            .lock()
-            .iter()
-            .filter(|id| matches!(st.leases.get(id), Some((_, LeaseState::Active))))
-            .count()
     }
 
     /// Register a background renewal daemon for the lease (§4.2: the DB
@@ -920,7 +801,7 @@ impl MemoryBroker {
         let mut st = self.store.state.lock();
         // only an Active lease can grow a renewal daemon; anything else
         // would leak an aux-map entry for a lease that can never renew
-        if matches!(st.leases.get(&id), Some((_, LeaseState::Active))) {
+        if active(&mut st.leases, id).is_ok() {
             st.auto_renewed.insert(id);
         }
     }
@@ -930,27 +811,14 @@ impl MemoryBroker {
     pub fn is_valid(&self, id: LeaseId, now: SimTime) -> bool {
         let mut st = self.store.state.lock();
         let auto = st.auto_renewed.contains(&id);
-        let Some((lease, state)) = st.leases.get_mut(&id) else {
-            return false;
-        };
-        if *state != LeaseState::Active {
-            return false;
+        match active(&mut st.leases, id) {
+            Ok(lease) if !auto && now >= lease.expires_at => {}
+            Ok(_) => return true,
+            Err(_) => return false,
         }
-        if auto {
-            return true;
-        }
-        if now >= lease.expires_at {
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Expired;
-            for mr in mrs {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lease_terminal(id);
-            self.meter(&st, |m| m.expired.incr());
-            self.verify(&st, Some(now));
-            return false;
-        }
-        true
+        self.end_lease(&mut st, id, LeaseState::Expired, None, None);
+        self.verify(&st, Some(now));
+        false
     }
 
     pub fn lease_state(&self, id: LeaseId) -> Option<LeaseState> {
@@ -964,58 +832,15 @@ impl MemoryBroker {
     /// Returns the bytes reclaimed.
     pub fn reclaim(&self, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
         let mut st = self.store.state.lock();
-        let mut reclaimed = 0u64;
-        // 1. unleased MRs on that server
-        if let Some(pool) = st.available.get_mut(&server) {
-            while reclaimed < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        reclaimed += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    }
-                    None => break,
-                }
+        let mut reclaimed = drain_pool(&mut st, fabric, server, bytes);
+        for id in leases_on(&st, server) {
+            if reclaimed >= bytes {
+                break;
             }
+            reclaimed +=
+                self.end_lease(&mut st, id, LeaseState::Revoked, Some(server), Some(fabric));
         }
-        st.wiped_bytes += reclaimed;
-        let mut revoked = 0u64;
-        // 2. revoke active leases that include MRs on that server
-        if reclaimed < bytes {
-            let victims: Vec<LeaseId> = st
-                .leases
-                .iter()
-                .filter(|(_, (l, s))| {
-                    *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            for id in victims {
-                if reclaimed >= bytes {
-                    break;
-                }
-                let Some((lease, state)) = st.leases.get_mut(&id) else {
-                    continue;
-                };
-                let mrs = lease.mrs.clone();
-                *state = LeaseState::Revoked;
-                for mr in mrs {
-                    if mr.server == server {
-                        reclaimed += mr.len;
-                        st.wiped_bytes += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    } else {
-                        // MRs on other donors go back to the pool
-                        st.available.entry(mr.server).or_default().push(mr);
-                    }
-                }
-                st.lease_terminal(id);
-                revoked += 1;
-            }
-        }
-        self.meter(&st, |m| {
-            m.reclaimed_bytes.add(reclaimed);
-            m.revoked.add(revoked);
-        });
+        self.meter(&st, |m| m.reclaimed_bytes.add(reclaimed));
         self.verify(&st, None);
         reclaimed
     }
@@ -1023,95 +848,60 @@ impl MemoryBroker {
     /// A donor server died: drop its pool and walk every Active lease
     /// touching it. Auto-renewed leases (long-lived files whose holder runs
     /// a renewal daemon and can self-heal) are *degraded*: the dead donor's
-    /// MRs move to `lost_mrs` and the lease stays Active so the holder can
-    /// keep using the surviving stripes and later call [`Self::repair_lease`].
-    /// Leases without a renewal daemon are revoked outright, as before.
+    /// MRs leave the lease and the lease stays Active so the holder can
+    /// keep using the surviving stripes and later call [`Self::repair_lease`]
+    /// or [`Self::re_replicate`]. Leases without a renewal daemon are
+    /// revoked outright.
     pub fn server_failed(&self, server: ServerId) {
-        let mut st = self.store.state.lock();
+        let st = &mut *self.store.state.lock();
         // the donor's unleased pool died with it
         if let Some(pool) = st.available.remove(&server) {
             st.wiped_bytes += pool.iter().map(|m| m.len).sum::<u64>();
         }
         st.failed_servers.insert(server);
         st.pending_revocations.retain(|_, (s, _)| *s != server);
-        let mut victims: Vec<LeaseId> = st
-            .leases
-            .iter()
-            .filter(|(_, (l, s))| {
-                *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        // stable order so the pool's MR order is replay-deterministic
-        victims.sort_unstable();
-        let (mut degraded, mut revoked) = (0u64, 0u64);
-        for id in victims {
-            let auto = st.auto_renewed.contains(&id);
-            let replicated = st.replicas.contains_key(&id);
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
+        let mut degraded = 0u64;
+        for id in leases_on(st, server) {
+            if !st.auto_renewed.contains(&id) {
+                self.end_lease(st, id, LeaseState::Revoked, Some(server), None);
+                continue;
+            }
+            let Ok(lease) = active(&mut st.leases, id) else {
                 continue;
             };
-            if auto && replicated {
-                // replicated degrade: drop the dead members from their
-                // groups. A member with surviving peers lost no data — its
-                // bytes are simply destroyed with the donor (wiped). Only a
-                // group's *last* member parks in lost_mrs/lost_slots: that
-                // slot's content is genuinely gone.
-                lease.mrs.retain(|m| m.server != server);
-                let mut rs = match st.replicas.remove(&id) {
-                    Some(rs) => rs,
-                    None => continue,
-                };
-                let mut lost_now: Vec<MrHandle> = Vec::new();
-                let mut wiped_now = 0u64;
-                for (slot, group) in rs.groups.iter_mut().enumerate() {
-                    if let Some(pos) = group.iter().position(|m| m.server == server) {
-                        let dead = group.remove(pos);
-                        if group.is_empty() {
-                            rs.lost_slots.insert(slot, dead);
-                            lost_now.push(dead);
-                        } else {
-                            wiped_now += dead.len;
-                        }
-                    }
-                }
-                rs.epoch += 1;
-                st.replicas.insert(id, rs);
-                if !lost_now.is_empty() {
-                    st.lost_mrs.entry(id).or_default().extend(lost_now);
-                }
-                st.wiped_bytes += wiped_now;
-                degraded += 1;
-            } else if auto {
-                let lost: Vec<MrHandle> = lease
-                    .mrs
-                    .iter()
-                    .filter(|m| m.server == server)
-                    .copied()
-                    .collect();
-                lease.mrs.retain(|m| m.server != server);
-                st.lost_mrs.entry(id).or_default().extend(lost);
-                degraded += 1;
-            } else {
-                let mrs = lease.mrs.clone();
-                *state = LeaseState::Revoked;
-                for mr in mrs {
-                    if mr.server != server {
-                        st.available.entry(mr.server).or_default().push(mr);
+            let (dead, live): (Vec<MrHandle>, Vec<MrHandle>) =
+                lease.mrs.iter().partition(|m| m.server == server);
+            lease.mrs = live;
+            degraded += 1;
+            let Some(rs) = st.replicas.get_mut(&id) else {
+                // unreplicated: the dead stripes park in lost_mrs until
+                // repair_lease replaces them
+                st.lost_mrs.entry(id).or_default().extend(dead);
+                continue;
+            };
+            // replicated: a member with surviving peers lost no data — its
+            // bytes are simply destroyed with the donor (wiped). Only a
+            // group's *last* member parks in lost_mrs/lost_slots: that
+            // slot's content is genuinely gone.
+            let mut lost_now: Vec<MrHandle> = Vec::new();
+            for (slot, group) in rs.groups.iter_mut().enumerate() {
+                if let Some(pos) = group.iter().position(|m| m.server == server) {
+                    let dead = group.remove(pos);
+                    if group.is_empty() {
+                        rs.lost_slots.insert(slot, dead);
+                        lost_now.push(dead);
                     } else {
-                        // destroyed with the donor
-                        st.wiped_bytes += mr.len;
+                        st.wiped_bytes += dead.len;
                     }
                 }
-                st.lease_terminal(id);
-                revoked += 1;
+            }
+            rs.epoch += 1;
+            if !lost_now.is_empty() {
+                st.lost_mrs.entry(id).or_default().extend(lost_now);
             }
         }
-        self.meter(&st, |m| {
-            m.degraded.add(degraded);
-            m.revoked.add(revoked);
-        });
-        self.verify(&st, None);
+        self.meter(st, |m| m.degraded.add(degraded));
+        self.verify(st, None);
     }
 
     /// A crashed donor came back (its proxy will re-donate fresh MRs).
@@ -1134,36 +924,14 @@ impl MemoryBroker {
         bytes: u64,
     ) -> (u64, Vec<LeaseId>) {
         let mut st = self.store.state.lock();
-        let mut reclaimed = 0u64;
-        if let Some(pool) = st.available.get_mut(&server) {
-            while reclaimed < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        reclaimed += mr.len;
-                        let _ = fabric.deregister_mr(mr);
-                    }
-                    None => break,
-                }
-            }
-        }
-        st.wiped_bytes += reclaimed;
+        let mut reclaimed = drain_pool(&mut st, fabric, server, bytes);
         let mut notified = Vec::new();
         if reclaimed < bytes {
             let deadline = now + self.cfg.grace_period;
-            let mut victims: Vec<LeaseId> = st
-                .leases
-                .iter()
-                .filter(|(id, (l, s))| {
-                    *s == LeaseState::Active
-                        && l.mrs.iter().any(|m| m.server == server)
-                        && !st.pending_revocations.contains_key(id)
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            victims.sort_unstable();
-            for id in victims {
-                st.pending_revocations.insert(id, (server, deadline));
-                notified.push(id);
+            notified = leases_on(&st, server);
+            notified.retain(|id| !st.pending_revocations.contains_key(id));
+            for id in &notified {
+                st.pending_revocations.insert(*id, (server, deadline));
             }
         }
         // bound the grace-window queue: a holder that never re-attaches
@@ -1181,31 +949,11 @@ impl MemoryBroker {
             };
             st.pending_revocations.remove(&id);
             expired += 1;
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
-                continue;
-            };
-            if *state != LeaseState::Active {
-                continue;
-            }
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Revoked;
-            for mr in mrs {
-                if mr.server == srv {
-                    reclaimed += mr.len;
-                    st.wiped_bytes += mr.len;
-                    let _ = fabric.deregister_mr(mr);
-                } else {
-                    st.available.entry(mr.server).or_default().push(mr);
-                }
-            }
-            st.lease_terminal(id);
+            reclaimed += self.end_lease(&mut st, id, LeaseState::Revoked, Some(srv), Some(fabric));
         }
         self.meter(&st, |m| {
             m.reclaimed_bytes.add(reclaimed);
-            if expired > 0 {
-                m.revocations_expired.add(expired);
-                m.revoked.add(expired);
-            }
+            m.revocations_expired.add(expired);
         });
         self.verify(&st, Some(now));
         (reclaimed, notified)
@@ -1228,42 +976,19 @@ impl MemoryBroker {
     /// reclaimed for the pressured donors.
     pub fn finalize_revocations(&self, fabric: &Fabric, now: SimTime) -> u64 {
         let mut st = self.store.state.lock();
-        let mut due: Vec<(LeaseId, ServerId)> = st
+        let due: Vec<(LeaseId, ServerId)> = st
             .pending_revocations
             .iter()
             .filter(|(_, (_, deadline))| now >= *deadline)
             .map(|(id, (server, _))| (*id, *server))
             .collect();
-        // stable order so the pool's MR order is replay-deterministic
-        due.sort_unstable();
         let mut reclaimed = 0u64;
-        let mut revoked = 0u64;
         for (id, server) in due {
             st.pending_revocations.remove(&id);
-            let Some((lease, state)) = st.leases.get_mut(&id) else {
-                continue;
-            };
-            if *state != LeaseState::Active {
-                continue;
-            }
-            let mrs = lease.mrs.clone();
-            *state = LeaseState::Revoked;
-            for mr in mrs {
-                if mr.server == server {
-                    reclaimed += mr.len;
-                    st.wiped_bytes += mr.len;
-                    let _ = fabric.deregister_mr(mr);
-                } else {
-                    st.available.entry(mr.server).or_default().push(mr);
-                }
-            }
-            st.lease_terminal(id);
-            revoked += 1;
+            reclaimed +=
+                self.end_lease(&mut st, id, LeaseState::Revoked, Some(server), Some(fabric));
         }
-        self.meter(&st, |m| {
-            m.reclaimed_bytes.add(reclaimed);
-            m.revoked.add(revoked);
-        });
+        self.meter(&st, |m| m.reclaimed_bytes.add(reclaimed));
         self.verify(&st, Some(now));
         reclaimed
     }
@@ -1280,23 +1005,12 @@ impl MemoryBroker {
         avoid: ServerId,
     ) -> Result<Vec<MrHandle>, BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let holder = lease.holder;
-        let picked = Self::pick_from_pool(&mut st, bytes, &[holder, avoid])?;
-        let Some((lease, _)) = st.leases.get_mut(&id) else {
-            // can't happen while we hold the lock; undo the pool pops and
-            // surface the inconsistency instead of panicking
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            return Err(BrokerError::Internal("lease vanished during request_extra"));
-        };
+        let st = &mut *self.store.state.lock();
+        let lease = active(&mut st.leases, id)?;
+        let exclude = [lease.holder, avoid];
+        let picked = pick_from_pool(&mut st.available, &st.failed_servers, bytes, &exclude)?;
         lease.mrs.extend(picked.iter().copied());
-        self.verify(&st, Some(clock.now()));
+        self.verify(st, Some(clock.now()));
         Ok(picked)
     }
 
@@ -1312,21 +1026,11 @@ impl MemoryBroker {
         fabric: &Fabric,
     ) -> Result<u64, BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let (lease, state) = st
-            .leases
-            .get_mut(&id)
-            .ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let gone: Vec<MrHandle> = lease
-            .mrs
-            .iter()
-            .filter(|m| m.server == server)
-            .copied()
-            .collect();
-        lease.mrs.retain(|m| m.server != server);
+        let st = &mut *self.store.state.lock();
+        let lease = active(&mut st.leases, id)?;
+        let (gone, kept): (Vec<MrHandle>, Vec<MrHandle>) =
+            lease.mrs.iter().partition(|m| m.server == server);
+        lease.mrs = kept;
         st.pending_revocations.remove(&id);
         if let Some(rs) = st.replicas.get_mut(&id) {
             // shed the surrendered members from their groups; anti-affinity
@@ -1341,14 +1045,13 @@ impl MemoryBroker {
                 rs.epoch += 1;
             }
         }
-        let mut freed = 0;
+        let freed: u64 = gone.iter().map(|m| m.len).sum();
         for mr in gone {
-            freed += mr.len;
             let _ = fabric.deregister_mr(mr);
         }
         st.wiped_bytes += freed;
-        self.meter(&st, |m| m.reclaimed_bytes.add(freed));
-        self.verify(&st, Some(clock.now()));
+        self.meter(st, |m| m.reclaimed_bytes.add(freed));
+        self.verify(st, Some(clock.now()));
         Ok(freed)
     }
 
@@ -1364,12 +1067,8 @@ impl MemoryBroker {
         id: LeaseId,
     ) -> Result<(Vec<MrHandle>, Vec<MrHandle>), BrokerError> {
         clock.advance(self.cfg.rpc_time);
-        let mut st = self.store.state.lock();
-        let (lease, state) = st.leases.get(&id).ok_or(BrokerError::UnknownLease(id))?;
-        if *state != LeaseState::Active {
-            return Err(BrokerError::LeaseNotActive(id, *state));
-        }
-        let holder = lease.holder;
+        let st = &mut *self.store.state.lock();
+        let lease = active(&mut st.leases, id)?;
         if st.replicas.contains_key(&id) {
             // replacements here would bypass the group bookkeeping and
             // break replica conservation
@@ -1382,76 +1081,154 @@ impl MemoryBroker {
             return Ok((Vec::new(), Vec::new()));
         }
         let need: u64 = lost.iter().map(|m| m.len).sum();
-        let picked = match Self::pick_from_pool(&mut st, need, &[holder]) {
-            Ok(p) => p,
-            Err(e) => {
-                st.lost_mrs.insert(id, lost);
-                return Err(e);
-            }
-        };
-        let Some((lease, _)) = st.leases.get_mut(&id) else {
-            // can't happen while we hold the lock; restore both sides and
-            // surface the inconsistency instead of panicking
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            st.lost_mrs.insert(id, lost);
-            return Err(BrokerError::Internal("lease vanished during repair_lease"));
-        };
+        let picked =
+            match pick_from_pool(&mut st.available, &st.failed_servers, need, &[lease.holder]) {
+                Ok(p) => p,
+                Err(e) => {
+                    st.lost_mrs.insert(id, lost);
+                    return Err(e);
+                }
+            };
         lease.mrs.extend(picked.iter().copied());
         // the dead stripes' bytes leave the `lost` bucket: replacements are
         // now leased, the originals died with their donor
-        st.wiped_bytes += lost.iter().map(|m| m.len).sum::<u64>();
-        self.meter(&st, |m| m.repaired.incr());
-        self.verify(&st, Some(clock.now()));
+        st.wiped_bytes += need;
+        self.meter(st, |m| m.repaired.incr());
+        self.verify(st, Some(clock.now()));
         Ok((lost, picked))
     }
+}
 
-    /// Pop MRs totalling at least `bytes` from the pool, skipping `exclude`
-    /// and failed servers, in stable donor order. All-or-nothing.
-    fn pick_from_pool(
-        st: &mut crate::meta::MetaState,
-        bytes: u64,
-        exclude: &[ServerId],
-    ) -> Result<Vec<MrHandle>, BrokerError> {
-        let mut donors: Vec<ServerId> = st
-            .available
-            .iter()
-            .filter(|(s, v)| {
-                !exclude.contains(s) && !v.is_empty() && !st.failed_servers.contains(s)
-            })
-            .map(|(s, _)| *s)
-            .collect();
-        donors.sort_unstable();
-        let mut picked = Vec::new();
-        let mut got = 0u64;
-        'outer: for donor in donors {
-            let Some(pool) = st.available.get_mut(&donor) else {
-                continue 'outer;
-            };
-            while got < bytes {
-                match pool.pop() {
-                    Some(mr) => {
-                        got += mr.len;
-                        picked.push(mr);
-                    }
-                    None => continue 'outer,
-                }
-            }
+/// The Active lease `id`, or the error every lease call reports when it is
+/// unknown or already ended.
+fn active(
+    leases: &mut BTreeMap<LeaseId, (Lease, LeaseState)>,
+    id: LeaseId,
+) -> Result<&mut Lease, BrokerError> {
+    match leases.get_mut(&id) {
+        Some((lease, LeaseState::Active)) => Ok(lease),
+        Some((_, state)) => Err(BrokerError::LeaseNotActive(id, *state)),
+        None => Err(BrokerError::UnknownLease(id)),
+    }
+}
+
+/// Active leases holding an MR on `server`, in lease id order so pool
+/// order stays replay-deterministic.
+fn leases_on(st: &MetaState, server: ServerId) -> Vec<LeaseId> {
+    st.leases
+        .iter()
+        .filter(|(_, (l, s))| *s == LeaseState::Active && l.mrs.iter().any(|m| m.server == server))
+        .map(|(id, _)| *id)
+        .collect()
+}
+
+/// Physical bytes (every replica copy) pinned under marked WAL rings; a
+/// ring's mark goes when its lease ends, so every marked lease is Active.
+fn ring_bytes(st: &MetaState) -> u64 {
+    st.wal_rings
+        .iter()
+        .filter_map(|id| st.leases.get(id))
+        .map(|(l, _)| l.bytes())
+        .sum()
+}
+
+/// Unleased bytes across every pool.
+fn pooled(pools: &Pools) -> u64 {
+    pools.values().flatten().map(|m| m.len).sum()
+}
+
+/// The all-or-nothing refusal, reporting what the pools hold now.
+fn insufficient(pools: &Pools, requested: u64) -> BrokerError {
+    BrokerError::InsufficientMemory {
+        requested,
+        available: pooled(pools),
+    }
+}
+
+/// Give MRs back to their donors' pools, in order: every rollback and
+/// every lease ending returns memory this way.
+fn restore(pools: &mut Pools, mrs: impl IntoIterator<Item = MrHandle>) {
+    for mr in mrs {
+        pools.entry(mr.server).or_default().push(mr);
+    }
+}
+
+/// Take unleased MRs off `server`'s pool (tail first) until `bytes` are
+/// covered or the pool is dry, deregistering each from the donor NIC.
+/// Returns the bytes drained, which are now wiped.
+fn drain_pool(st: &mut MetaState, fabric: &Fabric, server: ServerId, bytes: u64) -> u64 {
+    let mut drained = 0u64;
+    if let Some(pool) = st.available.get_mut(&server) {
+        while drained < bytes {
+            let Some(mr) = pool.pop() else { break };
+            drained += mr.len;
+            let _ = fabric.deregister_mr(mr);
+        }
+    }
+    st.wiped_bytes += drained;
+    drained
+}
+
+/// Donors with spare capacity ranked most-free-bytes first (stable id
+/// tie-break), excluding `exclude` and failed servers.
+fn ranked_donors(
+    pools: &Pools,
+    failed: &BTreeSet<ServerId>,
+    exclude: &[ServerId],
+) -> Vec<ServerId> {
+    let mut donors: Vec<(u64, ServerId)> = pools
+        .iter()
+        .filter(|(s, v)| !exclude.contains(s) && !v.is_empty() && !failed.contains(s))
+        .map(|(s, v)| (v.iter().map(|m| m.len).sum::<u64>(), *s))
+        .collect();
+    donors.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    donors.into_iter().map(|(_, s)| s).collect()
+}
+
+/// Pop one MR of exactly `len` bytes from `donor`'s pool, preferring
+/// the most recently donated (pool tail) for stable replay order.
+fn pop_mr_of_len(pools: &mut Pools, donor: ServerId, len: u64) -> Option<MrHandle> {
+    let pool = pools.get_mut(&donor)?;
+    let idx = pool.iter().rposition(|m| m.len == len)?;
+    Some(pool.remove(idx))
+}
+
+/// Pop MRs totalling at least `bytes` from the pools, skipping `exclude`
+/// and failed servers, in stable donor order. All-or-nothing.
+fn pick_from_pool(
+    pools: &mut Pools,
+    failed: &BTreeSet<ServerId>,
+    bytes: u64,
+    exclude: &[ServerId],
+) -> Result<Vec<MrHandle>, BrokerError> {
+    let donors: Vec<ServerId> = pools
+        .iter()
+        .filter(|(s, v)| !exclude.contains(s) && !v.is_empty() && !failed.contains(s))
+        .map(|(s, _)| *s)
+        .collect();
+    let mut picked = Vec::new();
+    let mut got = 0u64;
+    for donor in donors {
+        let Some(pool) = pools.get_mut(&donor) else {
+            continue;
+        };
+        while got < bytes {
+            let Some(mr) = pool.pop() else { break };
+            got += mr.len;
+            picked.push(mr);
+        }
+        if got >= bytes {
             break;
         }
-        if got < bytes {
-            let available = got;
-            for mr in picked {
-                st.available.entry(mr.server).or_default().push(mr);
-            }
-            return Err(BrokerError::InsufficientMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        Ok(picked)
     }
+    if got < bytes {
+        restore(pools, picked);
+        return Err(BrokerError::InsufficientMemory {
+            requested: bytes,
+            available: got,
+        });
+    }
+    Ok(picked)
 }
 
 #[cfg(test)]
@@ -1621,16 +1398,38 @@ mod tests {
 
     #[test]
     fn broker_failover_preserves_leases() {
-        let (_fabric, broker, db) = cluster(1, 2);
+        let (fabric, broker, db) = cluster(1, 3);
+        let donor = ServerId(1);
+        let registry = MetricsRegistry::shared();
+        broker.set_metrics(Some(Arc::clone(&registry)));
         let mut clock = Clock::new();
+        let ring = broker.request_lease(&mut clock, db, MR).unwrap();
         let lease = broker.request_lease(&mut clock, db, MR).unwrap();
+        broker.mark_wal_ring(ring.id).unwrap();
+        broker.set_compute_budget(donor, Some(SimDuration::from_micros(4)));
+        broker.note_pushdown(donor, SimDuration::from_micros(5), 10);
         // the broker process dies; a new one is elected over the same store
         let store = broker.store().clone();
         drop(broker);
         let broker2 = MemoryBroker::new(BrokerConfig::default(), store);
+        broker2.set_metrics(Some(Arc::clone(&registry)));
         assert!(broker2.is_valid(lease.id, clock.now()));
         assert!(broker2.renew(&mut clock, lease.id).is_ok());
         assert_eq!(broker2.store().available_bytes(), MR);
+        // the compute ledger survives: the spent budget still denies
+        let acct = broker2.compute_account(donor);
+        assert_eq!((acct.ops, acct.rows), (1, 10));
+        assert_eq!(acct.budget, Some(SimDuration::from_micros(4)));
+        assert!(!broker2.pushdown_admit(donor));
+        // the ring mark survives: marking again is not a new ring
+        broker2.mark_wal_ring(ring.id).unwrap();
+        assert_eq!(registry.counter("broker.wal.rings").get(), 1);
+        assert_eq!(registry.gauge("broker.wal.ring_bytes").get(), MR as f64);
+        // a revoked ring unmarks itself and the gauge drops with it
+        assert_eq!(broker2.reclaim(&fabric, donor, 2 * MR), 2 * MR);
+        assert_eq!(broker2.lease_state(ring.id), Some(LeaseState::Revoked));
+        assert_eq!(broker2.lease_state(lease.id), Some(LeaseState::Active));
+        assert_eq!(registry.gauge("broker.wal.ring_bytes").get(), 0.0);
     }
 
     #[test]
@@ -1980,6 +1779,275 @@ mod tests {
             .filter(|id| broker.lease_state(**id) == Some(LeaseState::Revoked))
             .count();
         assert_eq!(revoked, 16);
+    }
+
+    /// A metered cluster of `donors` servers, each donating `mrs_each`
+    /// regions of `mr_len` bytes. Returns the donor ids in donation order.
+    fn metered_cluster(
+        placement: PlacementPolicy,
+        donors: usize,
+        mrs_each: u64,
+        mr_len: u64,
+    ) -> (Fabric, MemoryBroker, Arc<MetricsRegistry>, Vec<ServerId>) {
+        let registry = MetricsRegistry::shared();
+        let fabric = Fabric::new(NetConfig::default());
+        fabric.add_server("DB1", 20);
+        let cfg = BrokerConfig {
+            placement,
+            ..Default::default()
+        };
+        let broker = MemoryBroker::new(cfg, MetaStore::new());
+        broker.set_metrics(Some(Arc::clone(&registry)));
+        let mut ids = Vec::new();
+        for i in 0..donors {
+            let m = fabric.add_server(format!("M{i}"), 20);
+            let mut pc = Clock::new();
+            MemoryProxy::new(m, mr_len)
+                .donate(&mut pc, &fabric, &broker, mrs_each * mr_len)
+                .unwrap();
+            ids.push(m);
+        }
+        (fabric, broker, registry, ids)
+    }
+
+    /// Everything a lease ending moves, one line per aspect: each donor's
+    /// pool (MR ids in pool order) and NIC MR count; the available, leased,
+    /// lost and wiped bytes; every lease that is no longer Active; and
+    /// every nonzero `broker.*` counter and gauge (`set_metrics` registers
+    /// them all, so an absent name reads 0).
+    fn pin(
+        fabric: &Fabric,
+        broker: &MemoryBroker,
+        registry: &MetricsRegistry,
+        donors: &[ServerId],
+    ) -> [String; 4] {
+        let st = broker.store().state.lock();
+        let pools: Vec<String> = donors
+            .iter()
+            .map(|s| {
+                let ids: Vec<u64> = st
+                    .available
+                    .get(s)
+                    .into_iter()
+                    .flatten()
+                    .map(|m| m.mr)
+                    .collect();
+                let nic = fabric.server(*s).unwrap().nic().mr_count();
+                format!("{}:{ids:?}/nic{nic}", s.0)
+            })
+            .collect();
+        let available: u64 = st.available.values().flatten().map(|m| m.len).sum();
+        let (mut leased, mut active) = (0u64, 0usize);
+        let mut ended: Vec<String> = Vec::new();
+        for (id, (lease, state)) in &st.leases {
+            if *state == LeaseState::Active {
+                leased += lease.bytes();
+                active += 1;
+            } else {
+                ended.push(format!("L{}={state:?}", id.0));
+            }
+        }
+        let lost: u64 = st.lost_mrs.values().flatten().map(|m| m.len).sum();
+        let snap = registry.snapshot();
+        let counters = snap
+            .counters
+            .iter()
+            .filter(|(k, v)| k.starts_with("broker.") && *v != 0)
+            .map(|(k, v)| format!("{}={v}", &k["broker.".len()..]));
+        let gauges = snap
+            .gauges
+            .iter()
+            .filter(|(k, v)| k.starts_with("broker.") && *v != 0.0)
+            .map(|(k, v)| format!("{}={v}", &k["broker.".len()..]));
+        [
+            pools.join(" "),
+            format!(
+                "avail={available} leased={leased} lost={lost} wiped={}",
+                st.wiped_bytes
+            ),
+            format!("active={active} ended={}", ended.join(",")),
+            counters.chain(gauges).collect::<Vec<_>>().join(" "),
+        ]
+    }
+
+    #[test]
+    fn lease_endings_are_pinned() {
+        const K: u64 = 4096; // small regions keep the byte counts legible
+        let mut got: Vec<(&str, [String; 4])> = Vec::new();
+
+        // release: a marked ring lease spread over two donors
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, 3, K);
+        let mut clock = Clock::new();
+        let ring = broker
+            .request_lease(&mut clock, ServerId(0), 4 * K)
+            .unwrap();
+        broker.request_lease(&mut clock, ServerId(0), K).unwrap();
+        broker.mark_wal_ring(ring.id).unwrap();
+        broker.release(&mut clock, ring.id).unwrap();
+        got.push(("release", pin(&fabric, &broker, &reg, &d)));
+
+        // renew after expiry, then is_valid expiry (an auto-renewed lease
+        // outlives its window)
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, 2, K);
+        let mut clock = Clock::new();
+        let late = broker
+            .request_lease(&mut clock, ServerId(0), 3 * K)
+            .unwrap();
+        clock.advance_to(late.expires_at + SimDuration::from_micros(1));
+        assert_eq!(
+            broker.renew(&mut clock, late.id),
+            Err(BrokerError::LeaseNotActive(late.id, LeaseState::Expired))
+        );
+        got.push(("renew expiry", pin(&fabric, &broker, &reg, &d)));
+        let lapsing = broker
+            .request_lease(&mut clock, ServerId(0), 2 * K)
+            .unwrap();
+        let daemon = broker.request_lease(&mut clock, ServerId(0), K).unwrap();
+        broker.enable_auto_renew(daemon.id);
+        let past = lapsing.expires_at + SimDuration::from_micros(1);
+        assert!(!broker.is_valid(lapsing.id, past));
+        assert!(broker.is_valid(daemon.id, past));
+        got.push(("is_valid expiry", pin(&fabric, &broker, &reg, &d)));
+
+        // reclaim: one unleased region, then revoke the first lease only
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, 3, K);
+        let mut clock = Clock::new();
+        broker
+            .request_lease(&mut clock, ServerId(0), 2 * K)
+            .unwrap();
+        broker
+            .request_lease(&mut clock, ServerId(0), 2 * K)
+            .unwrap();
+        assert_eq!(broker.reclaim(&fabric, d[0], 2 * K), 2 * K);
+        got.push(("reclaim revoke", pin(&fabric, &broker, &reg, &d)));
+
+        // server_failed without a renewal daemon: revoke
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, 3, K);
+        let mut clock = Clock::new();
+        broker
+            .request_lease(&mut clock, ServerId(0), 4 * K)
+            .unwrap();
+        broker.server_failed(d[0]);
+        got.push(("failed revoke", pin(&fabric, &broker, &reg, &d)));
+
+        // server_failed with a renewal daemon: degrade, plain and replicated
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 3, 3, K);
+        let mut clock = Clock::new();
+        let plain = broker
+            .request_lease(&mut clock, ServerId(0), 3 * K)
+            .unwrap();
+        let repl = broker
+            .request_replicated_lease(&mut clock, ServerId(0), 2 * K, 2)
+            .unwrap();
+        broker.enable_auto_renew(plain.id);
+        broker.enable_auto_renew(repl.id);
+        broker.server_failed(d[1]);
+        got.push(("failed degrade", pin(&fabric, &broker, &reg, &d)));
+
+        // request_reclaim past the notice cap force-revokes the oldest
+        let n = MAX_PENDING_REVOCATIONS as u64 + 2;
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, n, K);
+        let mut clock = Clock::new();
+        for _ in 0..n {
+            broker
+                .request_lease(&mut clock, ServerId(0), 2 * K)
+                .unwrap();
+        }
+        let (now_bytes, notified) = broker.request_reclaim(clock.now(), &fabric, d[0], n * K);
+        assert_eq!((now_bytes, notified.len() as u64), (2 * K, n));
+        got.push(("reclaim over cap", pin(&fabric, &broker, &reg, &d)));
+
+        // finalize_revocations past the grace deadline
+        let (fabric, broker, reg, d) = metered_cluster(PlacementPolicy::Spread, 2, 2, K);
+        let mut clock = Clock::new();
+        broker
+            .request_lease(&mut clock, ServerId(0), 2 * K)
+            .unwrap();
+        broker.request_lease(&mut clock, ServerId(0), K).unwrap();
+        let (_, notified) = broker.request_reclaim(clock.now(), &fabric, d[0], 2 * K);
+        let (_, deadline) = broker.revocation_notice(notified[0]).unwrap();
+        assert_eq!(broker.finalize_revocations(&fabric, deadline), 2 * K);
+        got.push(("finalize", pin(&fabric, &broker, &reg, &d)));
+
+        let want: &[(&str, [&str; 4])] = &[
+            (
+                "release",
+                [
+                    "1:[3, 2]/nic3 2:[1, 3, 2]/nic3",
+                    "avail=20480 leased=4096 lost=0 wiped=0",
+                    "active=1 ended=L0=Released",
+                    "donated.bytes=24576 leased.bytes=20480 leases.granted=2 leases.released=1 wal.rings=1 leases.active=1",
+                ],
+            ),
+            (
+                "renew expiry",
+                [
+                    "1:[2, 1]/nic2 2:[1, 2]/nic2",
+                    "avail=16384 leased=0 lost=0 wiped=0",
+                    "active=0 ended=L0=Expired",
+                    "donated.bytes=16384 leased.bytes=12288 leases.expired=1 leases.granted=1",
+                ],
+            ),
+            (
+                "is_valid expiry",
+                [
+                    "1:[1]/nic2 2:[1, 2]/nic2",
+                    "avail=12288 leased=4096 lost=0 wiped=0",
+                    "active=1 ended=L0=Expired,L1=Expired",
+                    "donated.bytes=16384 leased.bytes=24576 leases.expired=2 leases.granted=3 leases.active=1",
+                ],
+            ),
+            (
+                "reclaim revoke",
+                [
+                    "1:[]/nic1 2:[1, 3]/nic3",
+                    "avail=8192 leased=8192 lost=0 wiped=8192",
+                    "active=1 ended=L0=Revoked",
+                    "donated.bytes=24576 leased.bytes=16384 leases.granted=2 leases.revoked=1 reclaimed.bytes=8192 leases.active=1",
+                ],
+            ),
+            (
+                "failed revoke",
+                [
+                    "1:[]/nic3 2:[1, 3, 2]/nic3",
+                    "avail=12288 leased=0 lost=0 wiped=12288",
+                    "active=0 ended=L0=Revoked",
+                    "donated.bytes=24576 leased.bytes=16384 leases.granted=1 leases.revoked=1",
+                ],
+            ),
+            (
+                "failed degrade",
+                [
+                    "1:[]/nic3 2:[]/nic3 3:[1]/nic3",
+                    "avail=4096 leased=20480 lost=4096 wiped=8192",
+                    "active=2 ended=",
+                    "donated.bytes=36864 leased.bytes=28672 leases.degraded=2 leases.granted=2 leases.active=2",
+                ],
+            ),
+            (
+                "reclaim over cap",
+                [
+                    "1:[]/nic64 2:[66, 65]/nic66",
+                    "avail=8192 leased=524288 lost=0 wiped=8192",
+                    "active=64 ended=L0=Revoked,L1=Revoked",
+                    "donated.bytes=540672 leased.bytes=540672 leases.granted=66 leases.revoked=2 reclaimed.bytes=8192 revocations_expired=2 leases.active=64",
+                ],
+            ),
+            (
+                "finalize",
+                [
+                    "1:[]/nic0 2:[1, 2]/nic2",
+                    "avail=8192 leased=0 lost=0 wiped=8192",
+                    "active=0 ended=L0=Revoked,L1=Revoked",
+                    "donated.bytes=16384 leased.bytes=12288 leases.granted=2 leases.revoked=2 reclaimed.bytes=8192",
+                ],
+            ),
+        ];
+        for ((name, lines), (want_name, want_lines)) in got.iter().zip(want) {
+            assert_eq!(name, want_name);
+            assert_eq!(lines, want_lines, "{name}");
+        }
+        assert_eq!(got.len(), want.len());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The paper stores all broker state — the MR availability pool and the
 //! lease lookup table — in Zookeeper so that a broker failure is survived by
 //! electing a new broker over the same metadata. We model that as shared,
-//! internally-synchronized state: any number of broker front-ends can be
-//! constructed over one `MetaStore`, and killing one loses nothing.
+//! internally-synchronized state holding every map the broker keeps, its
+//! WAL-ring marks and pushdown compute ledger included: any number of
+//! broker front-ends can be constructed over one `MetaStore`, and killing
+//! one loses nothing.
 //!
 //! All maps are ordered (`BTreeMap`/`BTreeSet`): broker decisions iterate
 //! this state, and hash-map iteration order would leak into lease placement
@@ -17,6 +19,7 @@ use parking_lot::Mutex;
 use remem_net::{MrHandle, ServerId};
 use remem_sim::SimTime;
 
+use crate::broker::ComputeAccount;
 use crate::lease::{Lease, LeaseId, LeaseState, ReplicaSet};
 
 #[derive(Debug, Default)]
@@ -49,20 +52,29 @@ pub(crate) struct MetaState {
     /// Bytes permanently gone from broker management: deregistered under
     /// reclaim/surrender, or destroyed with a crashed donor.
     pub wiped_bytes: u64,
+    /// Leases pinned as remote-WAL ring backing: the broker reports their
+    /// physical footprint separately (`broker.wal.ring_bytes`) because ring
+    /// space is durability-critical — pressure shedding must prefer cache
+    /// leases over it.
+    pub wal_rings: BTreeSet<LeaseId>,
+    /// Per-donor pushdown compute ledger (eval CPU spent against an
+    /// optional budget).
+    pub compute: BTreeMap<ServerId, ComputeAccount>,
 }
 
 impl MetaState {
     /// A lease just left `Active`: drop its auxiliary bookkeeping so the
     /// maps never accumulate entries for dead leases. MRs still parked in
     /// `lost_mrs` died with their donor and will never be repaired now, so
-    /// they count as wiped.
-    pub(crate) fn lease_terminal(&mut self, id: LeaseId) {
+    /// they count as wiped. Returns whether the lease was a marked WAL ring.
+    pub(crate) fn lease_terminal(&mut self, id: LeaseId) -> bool {
         self.auto_renewed.remove(&id);
         self.pending_revocations.remove(&id);
         self.replicas.remove(&id);
         if let Some(lost) = self.lost_mrs.remove(&id) {
             self.wiped_bytes += lost.iter().map(|m| m.len).sum::<u64>();
         }
+        self.wal_rings.remove(&id)
     }
 }
 

@@ -54,9 +54,6 @@ pub struct RFileConfig {
     pub protocol: Protocol,
     pub access: AccessMode,
     pub registration: RegistrationMode,
-    /// Renew the lease automatically when an access finds it inside the
-    /// final half of its validity window.
-    pub auto_renew: bool,
     /// How many times a chunk transfer hitting a *transient* network fault
     /// is retried (with exponential backoff charged to virtual time) before
     /// the access fails with [`remem_storage::StorageError::Transient`].
@@ -101,7 +98,6 @@ impl Default for RFileConfig {
             protocol: Protocol::Custom,
             access: AccessMode::SyncSpin,
             registration: RegistrationMode::Staged,
-            auto_renew: true,
             max_retries: 4,
             retry_backoff: SimDuration::from_micros(50),
             self_heal: false,

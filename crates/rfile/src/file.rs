@@ -303,6 +303,11 @@ pub struct RemoteFile {
     metrics: Option<Arc<RfMetrics>>,
 }
 
+/// A freshly acquired lease as a file sees it: the lease, its replica epoch
+/// and groups (`0` and none when unreplicated), and the extents laid over
+/// it.
+type Acquired = (Lease, u64, Vec<Vec<MrHandle>>, Vec<Extent>);
+
 impl RemoteFile {
     /// **Create**: obtain a lease on MRs covering `size` bytes. Does not yet
     /// connect; call [`RemoteFile::open`] (or use [`RemoteFile::create_open`]).
@@ -315,29 +320,9 @@ impl RemoteFile {
         cfg: RFileConfig,
     ) -> Result<RemoteFile, StorageError> {
         assert!(size > 0, "cannot create an empty remote file");
-        let lease = if cfg.replicas > 1 {
-            broker.request_replicated_lease(clock, local, size, cfg.replicas)
-        } else {
-            broker.request_lease(clock, local, size)
-        }
-        .map_err(|e| StorageError::Unavailable(e.to_string()))?;
-        if cfg.auto_renew {
-            // the holder's renewal daemon keeps the lease alive between
-            // accesses (idle files must not lapse mid-workload)
-            broker.enable_auto_renew(lease.id);
-        }
-        let (epoch, groups) = if cfg.replicas > 1 {
-            broker
-                .replica_view(lease.id)
-                .ok_or_else(|| StorageError::Unavailable("replica set missing".into()))?
-        } else {
-            (0, Vec::new())
-        };
-        let extents = if cfg.replicas > 1 {
-            Self::extents_from_groups(&groups)
-        } else {
-            Self::extents_from(&lease.mrs)
-        };
+        let (lease, epoch, groups, extents) =
+            Self::acquire(clock, &broker, local, size, cfg.replicas)
+                .map_err(|e| StorageError::Unavailable(e.to_string()))?;
         let staging = StagingBuffers::new(SCHEDULERS, STAGING_BYTES, 8192);
         Ok(RemoteFile {
             fabric,
@@ -365,6 +350,34 @@ impl RemoteFile {
             metrics: cfg.metrics.clone().map(|r| Arc::new(RfMetrics::new(r))),
             cfg,
         })
+    }
+
+    /// Lease `size` bytes (k-way replicated when `replicas > 1`), register
+    /// the holder's renewal daemon so the lease never lapses between
+    /// accesses, and lay the file out over it.
+    fn acquire(
+        clock: &mut Clock,
+        broker: &MemoryBroker,
+        local: ServerId,
+        size: u64,
+        replicas: usize,
+    ) -> Result<Acquired, BrokerError> {
+        let replicated = replicas > 1;
+        let lease = if replicated {
+            broker.request_replicated_lease(clock, local, size, replicas)?
+        } else {
+            broker.request_lease(clock, local, size)?
+        };
+        broker.enable_auto_renew(lease.id);
+        if !replicated {
+            let extents = Self::extents_from(&lease.mrs);
+            return Ok((lease, 0, Vec::new(), extents));
+        }
+        let (epoch, groups) = broker
+            .replica_view(lease.id)
+            .ok_or(BrokerError::Internal("replica set missing"))?;
+        let extents = Self::extents_from_groups(&groups);
+        Ok((lease, epoch, groups, extents))
     }
 
     fn extents_from(mrs: &[MrHandle]) -> Vec<Extent> {
@@ -525,11 +538,11 @@ impl RemoteFile {
         }
     }
 
-    /// Check lease validity. With `auto_renew` the holder's background
-    /// daemon (registered at create time) keeps the lease alive, so only
-    /// revocation or release can invalidate it; without it, timeout expiry
-    /// applies. Self-healing files additionally answer revocation notices
-    /// here (migrating off the pressured donor inside the grace window) and
+    /// Check lease validity. The holder's background renewal daemon
+    /// (registered whenever a lease is acquired) keeps the lease alive, so
+    /// only revocation or release can invalidate it, never timeout expiry.
+    /// Self-healing files additionally answer revocation notices here
+    /// (migrating off the pressured donor inside the grace window) and
     /// re-acquire a lost lease from scratch.
     fn ensure_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
         let id = self.state.lock().lease.id;
@@ -1071,33 +1084,19 @@ impl RemoteFile {
     /// The lease itself is gone (revoked or expired): acquire a fresh one
     /// covering the whole file. All contents are lost.
     fn relearn_lease(&self, clock: &mut Clock) -> Result<(), StorageError> {
-        let lease = if self.replicated() {
-            self.broker
-                .request_replicated_lease(clock, self.local, self.size, self.cfg.replicas)
-        } else {
-            self.broker.request_lease(clock, self.local, self.size)
-        }
+        let (lease, epoch, groups, extents) = Self::acquire(
+            clock,
+            &self.broker,
+            self.local,
+            self.size,
+            self.cfg.replicas,
+        )
         .map_err(|e| StorageError::Unavailable(format!("re-lease failed: {e}")))?;
-        if self.cfg.auto_renew {
-            self.broker.enable_auto_renew(lease.id);
-        }
         for server in lease.servers() {
             self.fabric
                 .connect(clock, self.local, server)
                 .map_err(|e| StorageError::Unavailable(e.to_string()))?;
         }
-        let (epoch, groups) = if self.replicated() {
-            self.broker
-                .replica_view(lease.id)
-                .ok_or_else(|| StorageError::Unavailable("replica set missing".into()))?
-        } else {
-            (0, Vec::new())
-        };
-        let extents = if self.replicated() {
-            Self::extents_from_groups(&groups)
-        } else {
-            Self::extents_from(&lease.mrs)
-        };
         // every member of every group starts with pool garbage: zero the
         // preferred extents below, plus the non-preferred members here
         let spares: Vec<Extent> = groups
@@ -2150,23 +2149,6 @@ mod tests {
             clock.advance(lease_dur / 10 * 9 / 10);
             f.read(&mut clock, 0, &mut buf).unwrap();
         }
-    }
-
-    #[test]
-    fn without_auto_renew_the_lease_expires() {
-        let c = cluster(1, 2, PlacementPolicy::Pack);
-        let mut clock = Clock::new();
-        let cfg = RFileConfig {
-            auto_renew: false,
-            ..RFileConfig::custom()
-        };
-        let f = mk_file(&c, MR, cfg, &mut clock);
-        clock.advance(c.broker.config().lease_duration * 2);
-        let mut buf = [0u8; 8];
-        assert!(matches!(
-            f.read(&mut clock, 0, &mut buf),
-            Err(StorageError::Unavailable(_))
-        ));
     }
 
     #[test]
